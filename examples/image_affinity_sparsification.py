@@ -15,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro import SparsifierConfig, certify_approximation, generators, parallel_sparsify
-from repro.linalg.cg import conjugate_gradient
+from repro.linalg.cg import laplacian_solve_many
 
 
 def smooth(graph, signal: np.ndarray, strength: float = 0.5) -> np.ndarray:
@@ -23,7 +23,7 @@ def smooth(graph, signal: np.ndarray, strength: float = 0.5) -> np.ndarray:
     import scipy.sparse as sp
 
     system = graph.laplacian() + strength * sp.identity(graph.num_vertices, format="csr")
-    return conjugate_gradient(system, strength * signal, tol=1e-9).x
+    return laplacian_solve_many(system, strength * signal, tol=1e-9, deflate=False).x.ravel()
 
 
 def main() -> None:

@@ -75,6 +75,7 @@ from repro.api import (
     compare_methods,
 )
 from repro.core.certificates import certify_resistances
+from repro.core.config import SOLVER_CHOICES
 from repro.exceptions import ReproError
 from repro.graphs.io import read_edge_list, write_edge_list
 from repro.lint.cli import add_lint_arguments, run_lint_command
@@ -107,10 +108,9 @@ def _add_request_arguments(parser: argparse.ArgumentParser) -> None:
                         help="constant regime (default practical)")
     parser.add_argument("--tree-bundle", action="store_true",
                         help="use low-stretch-tree bundles (Remark 2) instead of spanners")
-    parser.add_argument("--solver", choices=["cg", "chain", "auto"], default=None,
+    parser.add_argument("--solver", choices=SOLVER_CHOICES, default=None,
                         help="inner Laplacian solver for resistance/certification routes: "
-                             "plain blocked CG (default), chain-preconditioned blocked CG, "
-                             "or automatic selection past size/conditioning thresholds")
+                             "plain blocked CG (default) or chain-preconditioned blocked CG")
     parser.add_argument("--seed", type=int, default=None,
                         help=f"random seed (default {_DEFAULT_SEED})")
 
@@ -263,7 +263,7 @@ def build_parser() -> argparse.ArgumentParser:
     stream.add_argument("--k", type=int, default=None,
                         help="Baswana-Sen parameter k (default ceil(log2 n))")
     stream.add_argument("--seed", type=int, default=_DEFAULT_SEED, help="stream seed")
-    stream.add_argument("--solver", choices=["cg", "chain", "auto"], default=None,
+    stream.add_argument("--solver", choices=SOLVER_CHOICES, default=None,
                         help="inner Laplacian solver for --certify-resistances")
     stream.add_argument("--window", type=int, default=None,
                         help="keep only edges from the last WINDOW ingest batches")

@@ -32,7 +32,11 @@ import numpy as np
 from repro.exceptions import SparsificationError
 from repro.utils.validation import check_epsilon, check_probability
 
-__all__ = ["SparsifierConfig"]
+__all__ = ["SparsifierConfig", "SOLVER_CHOICES"]
+
+# Inner Laplacian-solver choices of the resistance/certification routes
+# (see :mod:`repro.resistance.solver_select`).
+SOLVER_CHOICES = ("cg", "chain")
 
 
 @dataclass(frozen=True)
@@ -103,10 +107,9 @@ class SparsifierConfig:
         routes that consume this config: ``"cg"`` (plain blocked CG, the
         default), ``"chain"`` (blocked CG preconditioned with a cached
         Peng–Spielman chain — the paper's own machinery accelerating its
-        certification), or ``"auto"`` (chain past the size/conditioning
-        thresholds of :mod:`repro.resistance.solver_select`).  Never
-        changes *what* is computed — only how fast the inner solves
-        converge.
+        certification); see :data:`SOLVER_CHOICES` and
+        :mod:`repro.resistance.solver_select`.  Never changes *what* is
+        computed — only how fast the inner solves converge.
     """
 
     epsilon: float = 0.5
@@ -157,9 +160,9 @@ class SparsifierConfig:
                 "distributed_engine must be 'columnar' or 'reference', "
                 f"got {self.distributed_engine!r}"
             )
-        if self.solver not in ("cg", "chain", "auto"):
+        if self.solver not in SOLVER_CHOICES:
             raise SparsificationError(
-                f"solver must be 'cg', 'chain', or 'auto', got {self.solver!r}"
+                f"solver must be one of {', '.join(SOLVER_CHOICES)}, got {self.solver!r}"
             )
 
     # ------------------------------------------------------------------ #

@@ -5,8 +5,8 @@ resistance computations and the Peng--Spielman solver framework depend on:
 
 * :mod:`repro.linalg.sdd` — recognising SDD matrices and reducing an SDD
   system to a Laplacian system (the classical reduction).
-* :mod:`repro.linalg.cg` — conjugate gradient, preconditioned CG, Jacobi,
-  and Chebyshev iterations with explicit iteration/work accounting.
+* :mod:`repro.linalg.cg` — blocked (preconditioned) conjugate gradient,
+  the one CG kernel, with explicit iteration/work accounting.
 * :mod:`repro.linalg.pseudoinverse` — dense pseudoinverse helpers for exact
   small-scale reference computations.
 * :mod:`repro.linalg.eigen` — extreme (generalised) eigenvalue estimation
@@ -24,10 +24,6 @@ from repro.linalg.sdd import (
 from repro.linalg.cg import (
     BatchSolveResult,
     SolveResult,
-    conjugate_gradient,
-    jacobi_iteration,
-    chebyshev_iteration,
-    laplacian_solve,
     laplacian_solve_many,
 )
 from repro.linalg.pseudoinverse import laplacian_pseudoinverse, solve_via_pseudoinverse
@@ -47,10 +43,6 @@ __all__ = [
     "recover_sdd_solution",
     "BatchSolveResult",
     "SolveResult",
-    "conjugate_gradient",
-    "jacobi_iteration",
-    "chebyshev_iteration",
-    "laplacian_solve",
     "laplacian_solve_many",
     "laplacian_pseudoinverse",
     "solve_via_pseudoinverse",

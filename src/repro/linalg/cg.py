@@ -1,20 +1,25 @@
-"""Iterative solvers with explicit iteration and work accounting.
+"""Blocked conjugate gradient with explicit iteration and work accounting.
+
+:func:`laplacian_solve_many` is the one CG kernel of the package: every
+Laplacian (or SPD) solve, single right-hand side or many, runs through it.
+A 1-D right-hand side is solved as an ``(n, 1)`` block.
 
 The paper's solver results (Theorem 6) are about *total work*; wall-clock
-time on one laptop is not the quantity of interest.  Each solver here
-therefore returns a :class:`SolveResult` carrying the iteration count, the
-number of matrix-vector products, and an estimate of arithmetic work
+time on one laptop is not the quantity of interest.  The solver therefore
+returns a :class:`BatchSolveResult` carrying per-column iteration counts,
+the number of matrix-vector products, and an estimate of arithmetic work
 (``nnz`` multiplied by the number of matvecs), which the benchmark harness
-aggregates.
+aggregates.  :class:`SolveResult` is the one-line summary of such a solve.
 
 Laplacian systems are singular (null space = constants per component); the
-solvers project right-hand sides and iterates onto the orthogonal
-complement of the null space, which is the standard treatment.
+solver projects right-hand sides and iterates onto the orthogonal
+complement of the constant vector, which is the standard treatment
+(``deflate=False`` turns this off for SPD systems).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import IntEnum
 from typing import Callable, List, Optional, Union
 
@@ -30,12 +35,7 @@ __all__ = [
     "SolveStatus",
     "ColumnFailure",
     "BatchSolveResult",
-    "conjugate_gradient",
-    "jacobi_iteration",
-    "chebyshev_iteration",
-    "laplacian_solve",
     "laplacian_solve_many",
-    "deflate_constant",
 ]
 
 
@@ -80,18 +80,20 @@ Preconditioner = Callable[[np.ndarray], np.ndarray]
 
 @dataclass
 class SolveResult:
-    """Outcome of an iterative solve.
+    """Summary of a solve: one column's outcome, or a block's worst column.
 
     Attributes
     ----------
     x:
-        Approximate solution.
+        Approximate solution (a vector for a 1-D right-hand side, the
+        ``(n, k)`` block otherwise).
     converged:
-        True if the relative residual dropped below the tolerance.
+        True if every column's relative residual dropped below the
+        tolerance.
     iterations:
-        Number of iterations performed.
+        Iterations of the slowest column.
     residual_norm:
-        Final relative residual ``||b - A x|| / ||b||``.
+        Largest final relative residual ``||b - A x|| / ||b||``.
     matvecs:
         Matrix-vector products with the system matrix.
     precond_applications:
@@ -99,8 +101,6 @@ class SolveResult:
     work:
         Estimated arithmetic work: ``nnz(A) * matvecs`` plus the cost
         attributed to preconditioner applications by the caller.
-    residual_history:
-        Relative residual after each iteration (including iteration 0).
     """
 
     x: np.ndarray
@@ -110,7 +110,6 @@ class SolveResult:
     matvecs: int = 0
     precond_applications: int = 0
     work: float = 0.0
-    residual_history: list = field(default_factory=list)
 
 
 def _matvec_closure(matrix: MatrixLike):
@@ -124,283 +123,6 @@ def _matvec_closure(matrix: MatrixLike):
         return (lambda vec: csr @ vec), float(csr.nnz), csr.shape[0]
     arr = np.asarray(matrix, dtype=float)
     return (lambda vec: arr @ vec), float(arr.shape[0] * arr.shape[1]), arr.shape[0]
-
-
-def deflate_constant(vec: np.ndarray) -> np.ndarray:
-    """Project ``vec`` onto the orthogonal complement of the all-ones vector.
-
-    For connected Laplacian systems this removes the (single) null-space
-    component.  For multi-component graphs callers should solve per
-    component; projecting the global constant is still harmless.
-    """
-    vec = np.asarray(vec, dtype=float)
-    return vec - vec.mean()
-
-
-def conjugate_gradient(
-    matrix: MatrixLike,
-    rhs: np.ndarray,
-    tol: float = 1e-8,
-    max_iterations: Optional[int] = None,
-    preconditioner: Optional[Preconditioner] = None,
-    x0: Optional[np.ndarray] = None,
-    deflate: bool = False,
-    precond_work_per_application: float = 0.0,
-    raise_on_failure: bool = False,
-) -> SolveResult:
-    """(Preconditioned) conjugate gradient for SPD / PSD systems.
-
-    Parameters
-    ----------
-    matrix:
-        SPD or PSD matrix (sparse, dense, or LinearOperator).
-    rhs:
-        Right-hand side vector.
-    tol:
-        Relative residual target ``||b - A x|| <= tol * ||b||``.
-    max_iterations:
-        Cap on iterations; defaults to ``10 n``.
-    preconditioner:
-        Callable approximating ``A^+`` applied to a vector.
-    deflate:
-        Project iterates and rhs against the constant vector (for
-        Laplacians of connected graphs).
-    precond_work_per_application:
-        Work units charged per preconditioner application (e.g. total nnz
-        of an approximate-inverse chain); feeds the ``work`` field.
-    raise_on_failure:
-        Raise :class:`ConvergenceError` instead of returning a
-        non-converged result.
-    """
-    matvec, nnz, n = _matvec_closure(matrix)
-    b = np.asarray(rhs, dtype=float).ravel()
-    if b.shape[0] != n:
-        raise ValueError(f"rhs must have length {n}, got {b.shape[0]}")
-    if deflate:
-        b = deflate_constant(b)
-    if max_iterations is None:
-        max_iterations = max(10 * n, 100)
-
-    x = np.zeros(n) if x0 is None else np.asarray(x0, dtype=float).copy()
-    if deflate and x0 is not None:
-        x = deflate_constant(x)
-
-    b_norm = float(np.linalg.norm(b))
-    if b_norm == 0.0:
-        return SolveResult(
-            x=np.zeros(n), converged=True, iterations=0, residual_norm=0.0,
-            matvecs=0, work=0.0, residual_history=[0.0],
-        )
-
-    matvecs = 0
-    precond_apps = 0
-
-    r = b - matvec(x)
-    matvecs += 1
-    if deflate:
-        r = deflate_constant(r)
-    z = preconditioner(r) if preconditioner is not None else r
-    if preconditioner is not None:
-        precond_apps += 1
-        if deflate:
-            z = deflate_constant(z)
-    p = z.copy()
-    rz = float(np.dot(r, z))
-    residual = float(np.linalg.norm(r)) / b_norm
-    history = [residual]
-
-    iterations = 0
-    converged = residual <= tol
-    while not converged and iterations < max_iterations:
-        ap = matvec(p)
-        matvecs += 1
-        if deflate:
-            ap = deflate_constant(ap)
-        p_ap = float(np.dot(p, ap))
-        if p_ap <= 0 or not np.isfinite(p_ap):
-            # Breakdown: matrix not PSD along p (or numerical noise); stop.
-            break
-        alpha = rz / p_ap
-        x = x + alpha * p
-        r = r - alpha * ap
-        residual = float(np.linalg.norm(r)) / b_norm
-        iterations += 1
-        history.append(residual)
-        if residual <= tol:
-            converged = True
-            break
-        z = preconditioner(r) if preconditioner is not None else r
-        if preconditioner is not None:
-            precond_apps += 1
-            if deflate:
-                z = deflate_constant(z)
-        rz_new = float(np.dot(r, z))
-        beta = rz_new / rz if rz != 0 else 0.0
-        rz = rz_new
-        p = z + beta * p
-
-    if deflate:
-        x = deflate_constant(x)
-    work = nnz * matvecs + precond_work_per_application * precond_apps
-    result = SolveResult(
-        x=x,
-        converged=converged,
-        iterations=iterations,
-        residual_norm=residual,
-        matvecs=matvecs,
-        precond_applications=precond_apps,
-        work=work,
-        residual_history=history,
-    )
-    if raise_on_failure and not converged:
-        raise ConvergenceError(
-            f"CG failed to reach tol={tol} in {iterations} iterations "
-            f"(residual {residual:.3e})",
-            iterations=iterations,
-            residual=residual,
-        )
-    return result
-
-
-def jacobi_iteration(
-    matrix: Union[sp.spmatrix, np.ndarray],
-    rhs: np.ndarray,
-    tol: float = 1e-8,
-    max_iterations: int = 1000,
-    damping: float = 1.0,
-) -> SolveResult:
-    """(Damped) Jacobi iteration for diagonally dominant systems.
-
-    Used as the smoother inside multigrid-style comparisons and as a cheap
-    baseline in the solver benchmarks.  Requires a strictly positive
-    diagonal.
-    """
-    mat = matrix.tocsr() if sp.issparse(matrix) else sp.csr_matrix(np.asarray(matrix, dtype=float))
-    n = mat.shape[0]
-    b = np.asarray(rhs, dtype=float).ravel()
-    diag = mat.diagonal()
-    if np.any(diag <= 0):
-        raise ValueError("Jacobi iteration requires a strictly positive diagonal")
-    inv_diag = 1.0 / diag
-    off = mat - sp.diags(diag)
-
-    x = np.zeros(n)
-    b_norm = float(np.linalg.norm(b)) or 1.0
-    history = []
-    matvecs = 0
-    converged = False
-    residual = float(np.linalg.norm(b - mat @ x)) / b_norm
-    matvecs += 1
-    history.append(residual)
-    iterations = 0
-    while residual > tol and iterations < max_iterations:
-        x_new = inv_diag * (b - off @ x)
-        x = (1.0 - damping) * x + damping * x_new
-        residual = float(np.linalg.norm(b - mat @ x)) / b_norm
-        matvecs += 2
-        iterations += 1
-        history.append(residual)
-        if residual <= tol:
-            converged = True
-    return SolveResult(
-        x=x,
-        converged=converged or residual <= tol,
-        iterations=iterations,
-        residual_norm=residual,
-        matvecs=matvecs,
-        work=float(mat.nnz) * matvecs,
-        residual_history=history,
-    )
-
-
-def chebyshev_iteration(
-    matrix: Union[sp.spmatrix, np.ndarray],
-    rhs: np.ndarray,
-    eig_min: float,
-    eig_max: float,
-    tol: float = 1e-8,
-    max_iterations: int = 1000,
-    preconditioner: Optional[Preconditioner] = None,
-) -> SolveResult:
-    """Chebyshev semi-iteration given eigenvalue bounds ``[eig_min, eig_max]``.
-
-    Chebyshev iteration is the standard way to apply a fixed polynomial of
-    the (preconditioned) matrix without inner products, which is what the
-    Peng--Spielman framework uses between chain levels; it is exposed here
-    both as a solver and for use by :mod:`repro.solvers.chain`.
-    """
-    if eig_min <= 0 or eig_max <= 0 or eig_max < eig_min:
-        raise ValueError("need 0 < eig_min <= eig_max")
-    mat = matrix.tocsr() if sp.issparse(matrix) else sp.csr_matrix(np.asarray(matrix, dtype=float))
-    n = mat.shape[0]
-    b = np.asarray(rhs, dtype=float).ravel()
-    b_norm = float(np.linalg.norm(b)) or 1.0
-
-    # Standard Chebyshev recurrence (Saad, "Iterative Methods", Alg. 12.1):
-    # centre d and half-width c of the eigenvalue interval.
-    center = 0.5 * (eig_max + eig_min)
-    half_width = 0.5 * (eig_max - eig_min)
-    x = np.zeros(n)
-    r = b.copy()
-    p = np.zeros(n)
-    alpha = 0.0
-    matvecs = 0
-    precond_apps = 0
-    history = [float(np.linalg.norm(r)) / b_norm]
-    converged = history[-1] <= tol
-    iterations = 0
-    while not converged and iterations < max_iterations:
-        z = preconditioner(r) if preconditioner is not None else r
-        if preconditioner is not None:
-            precond_apps += 1
-        if iterations == 0:
-            p = z.copy()
-            alpha = 1.0 / center
-        else:
-            beta = (half_width * alpha / 2.0) ** 2
-            alpha = 1.0 / (center - beta / alpha)
-            p = z + beta * p
-        x = x + alpha * p
-        r = b - mat @ x
-        matvecs += 1
-        residual = float(np.linalg.norm(r)) / b_norm
-        history.append(residual)
-        iterations += 1
-        converged = residual <= tol
-    return SolveResult(
-        x=x,
-        converged=converged,
-        iterations=iterations,
-        residual_norm=history[-1],
-        matvecs=matvecs,
-        precond_applications=precond_apps,
-        work=float(mat.nnz) * matvecs,
-        residual_history=history,
-    )
-
-
-def laplacian_solve(
-    laplacian: Union[sp.spmatrix, np.ndarray],
-    rhs: np.ndarray,
-    tol: float = 1e-8,
-    max_iterations: Optional[int] = None,
-    preconditioner: Optional[Preconditioner] = None,
-    precond_work_per_application: float = 0.0,
-) -> SolveResult:
-    """Solve a (connected-graph) Laplacian system ``L x = b`` with CG.
-
-    The right-hand side is projected against the constant vector so the
-    singular system has a solution; the returned ``x`` has zero mean.
-    """
-    return conjugate_gradient(
-        laplacian,
-        rhs,
-        tol=tol,
-        max_iterations=max_iterations,
-        preconditioner=preconditioner,
-        deflate=True,
-        precond_work_per_application=precond_work_per_application,
-    )
 
 
 @dataclass
@@ -421,7 +143,7 @@ class BatchSolveResult:
     matvecs:
         Total *column* matrix-vector products: each blocked pass over
         ``c`` active columns counts as ``c`` — directly comparable to the
-        matvec count of ``k`` independent :func:`laplacian_solve` calls.
+        matvec count of ``k`` independent one-column solves.
     precond_applications:
         Total *column* preconditioner applications, counted the same way
         as ``matvecs`` (each blocked application to ``c`` active columns
@@ -624,8 +346,8 @@ def _block_cg(
         column_matvecs += p.shape[1]
         p_ap = np.einsum("ij,ij->j", p, ap)
         # Breakdown (matrix not PSD along p / numerical noise) and poisoned
-        # arithmetic: freeze the column at its current iterate, like the
-        # looped solver, and record which way it died.
+        # arithmetic: freeze the column at its current iterate and record
+        # which way it died.
         not_finite = ~np.isfinite(p_ap) & ~frozen
         broken = (p_ap <= 0) & np.isfinite(p_ap) & ~frozen
         status[cols[not_finite]] = int(SolveStatus.NOT_FINITE)
@@ -723,7 +445,7 @@ def laplacian_solve_many(
 
     The certification and resistance layers need *many* Laplacian solves
     against the same matrix (one per probe pair, per edge, or per JL
-    direction).  Solving them one `laplacian_solve` call at a time pays
+    direction).  Solving them one column at a time pays
     per-iteration Python and memory-traffic overhead ``k`` times; this
     routine instead runs simultaneous CG on column chunks of at most
     ``block_size`` right-hand sides, applying the matrix to the whole
@@ -737,7 +459,8 @@ def laplacian_solve_many(
         PSD system matrix (sparse preferred; dense and LinearOperator
         also accepted).
     rhs:
-        ``(n, k)`` right-hand sides, dense or scipy-sparse (sparse RHS
+        ``(n, k)`` right-hand sides, or one ``(n,)`` vector (solved as an
+        ``(n, 1)`` block), dense or scipy-sparse (sparse RHS
         blocks — e.g. pair-indicator columns — are densified one chunk at
         a time, bounding peak memory at ``O(n * block_size)``).
     tol:
@@ -745,8 +468,7 @@ def laplacian_solve_many(
         residual ``||b_j - A x_j|| / ||b_j||``, so it is directly
         comparable across preconditioned and plain runs).
     max_iterations:
-        Per-column iteration cap; defaults to ``10 n`` like the looped
-        solver.
+        Per-column iteration cap; defaults to ``max(10 n, 100)``.
     block_size:
         Maximum number of columns solved simultaneously per chunk.
     deflate:

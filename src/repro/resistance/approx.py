@@ -32,7 +32,6 @@ from repro.graphs.graph import Graph
 from repro.resistance.solver_select import (
     FallbackEvent,
     ResistanceSolveStats,
-    resolve_solver,
     solve_with_degradation,
 )
 from repro.utils.rng import SeedLike, as_rng, split_rng
@@ -149,9 +148,9 @@ def approximate_effective_resistances_detailed(
         Directions solved simultaneously per chunk (bounds peak memory at
         ``O((n + m) * block_size)``).
     solver:
-        Inner blocked-solver choice — ``"cg"`` (plain, the default),
-        ``"chain"`` (chain-preconditioned, chain cached per graph), or
-        ``"auto"``; see :mod:`repro.resistance.solver_select`.
+        Inner blocked-solver choice — ``"cg"`` (plain, the default) or
+        ``"chain"`` (chain-preconditioned, chain cached per graph); see
+        :mod:`repro.resistance.solver_select`.
     stats:
         Optional :class:`~repro.resistance.solver_select.ResistanceSolveStats`
         accumulating iteration/matvec/work counts of the inner solves.
@@ -203,13 +202,12 @@ def approximate_effective_resistances_detailed(
     # of it is ever materialized (int8: +-1), keeping memory bounded.
     direction_rngs = split_rng(rng, num_directions)
 
-    resolved = resolve_solver(solver, graph, num_directions)
     # The degradation ladder reports its rungs on a stats accumulator; run
     # one locally when the caller passed none so fallbacks still reach the
     # result's ``fallbacks`` field.
     ladder_stats = stats if stats is not None else ResistanceSolveStats()
     fallbacks_before = len(ladder_stats.fallbacks)
-    ladder_stats.solver = resolved
+    ladder_stats.solver = solver
 
     scale = 1.0 / np.sqrt(num_directions)
     resistance_estimate = np.zeros(m)
@@ -233,7 +231,7 @@ def approximate_effective_resistances_detailed(
             rhs,
             tol=solver_tol,
             block_size=block_size,
-            solver=resolved,
+            solver=solver,
             stats=ladder_stats,
         )
         diff = solve.x[u, :] - solve.x[v, :]
@@ -251,7 +249,7 @@ def approximate_effective_resistances_detailed(
         solver_converged=converged,
         matvecs=matvecs,
         work=work,
-        solver=resolved,
+        solver=solver,
         iterations_total=iterations_total,
         precond_applications=precond_applications,
         fallbacks=tuple(ladder_stats.fallbacks[fallbacks_before:]),

@@ -37,7 +37,6 @@ from repro.graphs.graph import Graph
 from repro.linalg.pseudoinverse import laplacian_pseudoinverse
 from repro.resistance.solver_select import (
     ResistanceSolveStats,
-    resolve_solver,
     solve_with_degradation,
 )
 
@@ -99,8 +98,7 @@ def _blocked_pair_resistances(
 
     ``solver`` selects plain blocked CG (``"cg"``), chain-preconditioned
     blocked CG (``"chain"`` — the preconditioner chain comes from the
-    process-wide cache and is built at most once per graph), or the
-    size/conditioning heuristic (``"auto"``); see
+    process-wide cache and is built at most once per graph); see
     :mod:`repro.resistance.solver_select`.  ``stats`` optionally
     accumulates per-column iteration/matvec/work counts across every
     inner solve.
@@ -162,11 +160,8 @@ def _blocked_pair_resistances(
         and vertex_path_pays
         and n * vertices.size * 8 <= _VERTEX_BLOCK_BUDGET
     )
-    # Resolve the solver once per (sub)graph against the *total* column
-    # count — the chain build amortizes across all chunks via the cache.
-    resolved = resolve_solver(solver, graph, vertices.size if use_vertex_columns else k)
     if stats is not None:
-        stats.solver = resolved
+        stats.solver = solver
     if use_vertex_columns:
         position = np.empty(n, dtype=np.int64)
         position[vertices] = np.arange(vertices.size)
@@ -180,7 +175,7 @@ def _blocked_pair_resistances(
             rhs,
             tol=tol,
             block_size=block_size,
-            solver=resolved,
+            solver=solver,
             stats=stats,
         )
         _warn_if_unconverged(solve, tol, "vertex-indicator columns")
@@ -208,7 +203,7 @@ def _blocked_pair_resistances(
             rhs,
             tol=tol,
             block_size=block_size,
-            solver=resolved,
+            solver=solver,
             stats=stats,
         )
         _warn_if_unconverged(solve, tol, f"pair-indicator columns {start}:{stop}")
@@ -244,11 +239,10 @@ def effective_resistances_of_pairs(
     block_size:
         Columns per chunk of the blocked solve (bounds peak memory).
     solver:
-        ``"cg"`` (plain blocked CG — the default, identical to prior
-        behavior), ``"chain"`` (chain-preconditioned blocked CG with a
-        cached Peng–Spielman chain), or ``"auto"`` (chain only past the
-        size/conditioning thresholds of
-        :mod:`repro.resistance.solver_select`).  Ignored on the pinv path.
+        ``"cg"`` (plain blocked CG — the default) or ``"chain"``
+        (chain-preconditioned blocked CG with a cached Peng–Spielman
+        chain); see :mod:`repro.resistance.solver_select`.  Ignored on the
+        pinv path.
     stats:
         Optional :class:`~repro.resistance.solver_select.ResistanceSolveStats`
         accumulating iteration/matvec/work counts of the inner solves.

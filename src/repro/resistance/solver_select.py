@@ -1,27 +1,19 @@
 """Solver selection for the resistance / certification layer.
 
-PR 5 made every resistance route go through the blocked multi-RHS CG
-solver; this module decides *which* blocked solver each call uses:
+Every resistance route goes through the blocked multi-RHS CG solver; the
+``solver=`` knob (:data:`repro.core.config.SOLVER_CHOICES`) picks its
+preconditioner:
 
-* ``"cg"`` — plain blocked CG, exactly the PR 5 behavior (the default).
+* ``"cg"`` — plain blocked CG (the default).
 * ``"chain"`` — blocked CG preconditioned with a Peng–Spielman
   approximate inverse chain built by ``PARALLELSPARSIFY`` itself
   (:func:`repro.solvers.chain.build_preconditioner_chain`).  This closes
   the paper's loop: the sparsification machinery accelerates the very
-  solves that certify sparsifiers.
-* ``"auto"`` — pick ``"chain"`` only when it is expected to pay *in the
-  paper's cost model* (iteration count ~ sequential PCG rounds, each
-  chain application a polylog-depth parallel operation): the graph is
-  large, the solve has enough right-hand-side columns to amortize the
-  chain build, and a cheap power-iteration estimate of the
-  normalized-Laplacian spectral gap says plain CG would grind.  On one
-  CPU a chain application costs ~25 graph-matvecs of arithmetic, so
-  plain CG can still win wall-clock where it converges in a few hundred
-  iterations — ``BENCH_resistance.json`` records both sides.  Gap
-  estimates at the estimator's saturation floor
-  (:data:`repro.solvers.chain.LAMBDA_MIN_SATURATION_FLOOR`, ~8e-3) are
-  treated as "gap unknown": ``auto`` warns and keeps the plain-CG
-  default instead of silently picking a side.
+  solves that certify sparsifiers.  It cuts the iteration count, but on
+  one CPU a chain application costs ~25 graph-matvecs of arithmetic, so
+  plain CG usually wins wall-clock — ``BENCH_resistance.json`` records
+  both sides.  There is no automatic choice between the two: no cheap
+  measurement predicts the winner.
 
 Chains are reused through the process-wide
 :func:`repro.solvers.chain.default_chain_cache`, keyed by
@@ -45,47 +37,25 @@ import scipy.sparse as sp
 from repro.graphs.graph import Graph
 from repro.linalg.cg import BatchSolveResult, SolveStatus, laplacian_solve_many
 
-# repro.solvers is imported lazily inside the functions below: the solvers
-# package depends on repro.core (chain construction runs PARALLELSPARSIFY),
-# which depends on repro.spanners, which uses the resistance layer for
-# stretch certification — a top-level import here would close that cycle.
+# repro.solvers and repro.core are imported lazily inside the functions
+# below: the solvers package depends on repro.core (chain construction runs
+# PARALLELSPARSIFY), which depends on repro.spanners, which uses the
+# resistance layer for stretch certification — a top-level import here
+# would close that cycle.
 
 __all__ = [
-    "SOLVER_CHOICES",
     "DENSE_FALLBACK_LIMIT",
     "FallbackEvent",
     "ResistanceSolveStats",
-    "resolve_solver",
     "chain_preconditioner_for",
     "solve_with_degradation",
 ]
-
-SOLVER_CHOICES = ("cg", "chain", "auto")
 
 # Largest graph for which the last rung of the degradation ladder (dense
 # pseudoinverse) is allowed to fire — an O(n^3) factorization past this is
 # worse than admitting approximate values.  Matches the exact layer's
 # pinv-vs-solve crossover.
 DENSE_FALLBACK_LIMIT = 2500
-
-# The "auto" rule: chain preconditioning must amortize a super-linear build
-# over many columns, and only pays when plain CG would need many iterations.
-# Below these floors the plain solver finishes before a chain could even be
-# constructed (measured in benchmarks/bench_resistance.py).
-CHAIN_MIN_VERTICES = 4096
-CHAIN_MIN_COLUMNS = 32
-# Normalized-Laplacian gap under which plain CG iteration counts blow up
-# (iterations scale like 1/sqrt(lambda_min)); above it CG converges in a
-# few dozen iterations and preconditioning cannot win.  The estimator
-# itself saturates around LAMBDA_MIN_SATURATION_FLOOR (~8e-3, below this
-# threshold): an estimate at or under the floor means "gap unmeasurably
-# small", not a point value, and resolve_solver treats it as unknown —
-# it warns and keeps the plain-CG default rather than silently betting
-# the chain build cost on a number the estimator cannot distinguish
-# from 10x smaller.  Callers who know their graphs are genuinely
-# ill-conditioned should pass solver="chain" explicitly.
-CHAIN_LAMBDA_THRESHOLD = 0.02
-
 
 @dataclass(frozen=True)
 class FallbackEvent:
@@ -178,43 +148,6 @@ class ResistanceSolveStats:
         }
 
 
-def resolve_solver(solver: str, graph: Graph, num_columns: int) -> str:
-    """Resolve a ``solver=`` knob to ``"cg"`` or ``"chain"`` for one call.
-
-    ``"cg"`` and ``"chain"`` pass through unchanged; ``"auto"`` applies the
-    size/columns/conditioning rule documented at module level.
-    """
-    if solver not in SOLVER_CHOICES:
-        raise ValueError(
-            f"unknown solver {solver!r}; expected one of {', '.join(SOLVER_CHOICES)}"
-        )
-    if solver != "auto":
-        return solver
-    if graph.num_vertices < CHAIN_MIN_VERTICES or num_columns < CHAIN_MIN_COLUMNS:
-        return "cg"
-    from repro.solvers.chain import (
-        LAMBDA_MIN_SATURATION_FLOOR,
-        estimate_normalized_lambda_min,
-    )
-
-    gap = estimate_normalized_lambda_min(graph)
-    if gap <= LAMBDA_MIN_SATURATION_FLOOR:
-        # The estimator is saturated: the true gap is anywhere at or
-        # below the floor, so "is preconditioning worth it" is unknown.
-        # Keep the plain-CG default rather than silently picking a side.
-        warnings.warn(
-            f"solver='auto': normalized lambda_min estimate {gap:.2e} is at the "
-            f"estimator's saturation floor ({LAMBDA_MIN_SATURATION_FLOOR:.0e}) — "
-            "the spectral gap is too small to measure cheaply, so the gap is "
-            "unknown; defaulting to plain CG. Pass solver='chain' explicitly "
-            "if this graph is known to be ill-conditioned.",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-        return "cg"
-    return "chain" if gap < CHAIN_LAMBDA_THRESHOLD else "cg"
-
-
 def chain_preconditioner_for(
     graph: Graph,
     stats: Optional[ResistanceSolveStats] = None,
@@ -277,7 +210,8 @@ def solve_with_degradation(
 ) -> BatchSolveResult:
     """Blocked Laplacian solve with the ``chain → cg → pinv`` ladder.
 
-    Runs the *resolved* solver (``"cg"`` or ``"chain"``) and, instead of
+    Runs the requested solver (``"cg"`` or ``"chain"``; anything else
+    raises ``ValueError``) and, instead of
     returning silently-inexact columns when something breaks, walks down a
     degradation ladder:
 
@@ -296,6 +230,12 @@ def solve_with_degradation(
     the call is exactly one ``laplacian_solve_many`` — bit-identical to
     calling it directly.
     """
+    from repro.core.config import SOLVER_CHOICES
+
+    if solver not in SOLVER_CHOICES:
+        raise ValueError(
+            f"unknown solver {solver!r}; expected one of {', '.join(SOLVER_CHOICES)}"
+        )
     num_columns = rhs.shape[1]
     preconditioner = None
     precond_work = 0.0

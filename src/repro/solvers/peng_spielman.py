@@ -1,8 +1,9 @@
 """End-user SDD / Laplacian solver built on the approximate inverse chain.
 
 ``solve_laplacian`` builds (or reuses) a chain for the input graph and runs
-chain-preconditioned conjugate gradient; ``solve_sdd`` first reduces a
-general SDD system to a Laplacian system via the Gremban double cover
+chain-preconditioned conjugate gradient through the package's one CG
+kernel, :func:`repro.linalg.cg.laplacian_solve_many`; ``solve_sdd`` first
+reduces a general SDD system to a Laplacian system via the Gremban double cover
 (:mod:`repro.linalg.sdd`).  Following Section 4 of the paper, the chain is
 built not for the input itself but for a 2-approximation of it produced by
 ``PARALLELSPARSIFY`` (ρ chosen from the estimated condition number), which
@@ -15,7 +16,7 @@ the comparison shares one code path for work accounting.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -26,12 +27,7 @@ from repro.core.sparsify import parallel_sparsify
 from repro.exceptions import NotSDDError
 from repro.graphs.conversion import from_laplacian
 from repro.graphs.graph import Graph
-from repro.linalg.cg import (
-    BatchSolveResult,
-    SolveResult,
-    laplacian_solve,
-    laplacian_solve_many,
-)
+from repro.linalg.cg import BatchSolveResult, SolveResult, laplacian_solve_many
 from repro.linalg.eigen import condition_number
 from repro.linalg.sdd import SDDMatrix, is_sdd
 from repro.solvers.chain import InverseChain, build_inverse_chain, chain_preconditioner
@@ -55,10 +51,10 @@ class SDDSolveReport:
     Attributes
     ----------
     result:
-        The iterative solve outcome (solution, iterations, residual, work).
-        For a 2-D right-hand side this is a summary view (worst column's
-        iteration count / residual, aggregate matvecs and work); the full
-        per-column data lives in ``batch``.
+        Summary of the solve: the solution (a vector for a 1-D right-hand
+        side), the worst column's iteration count and residual, and the
+        aggregate matvecs and work.  The per-column data lives in
+        ``batch``.
     chain:
         The approximate inverse chain used (None for baselines).
     work_model:
@@ -67,19 +63,19 @@ class SDDSolveReport:
         Edges of the (possibly pre-sparsified) graph the chain was built
         on.
     condition_estimate:
-        Estimated condition number of the input system.
+        Estimated condition number of the input system, which sets the
+        chain's per-level epsilon; None when an existing chain was reused.
     batch:
-        Per-column :class:`repro.linalg.cg.BatchSolveResult` when the
-        right-hand side was 2-D (solved through the blocked path); None
-        for single-vector solves.
+        Per-column :class:`repro.linalg.cg.BatchSolveResult` of the solve
+        (one column for a 1-D right-hand side).
     """
 
     result: SolveResult
     chain: Optional[InverseChain]
     work_model: Optional[ChainWorkModel]
     preconditioner_graph_edges: int
-    condition_estimate: float
-    batch: Optional[BatchSolveResult] = None
+    condition_estimate: Optional[float]
+    batch: BatchSolveResult
 
     @property
     def x(self) -> np.ndarray:
@@ -103,6 +99,19 @@ def estimate_condition_number(graph: Graph, cap: float = 1e12) -> float:
     return min(cap, float(kappa))
 
 
+def _summary(batch: BatchSolveResult, rhs: np.ndarray) -> SolveResult:
+    """Worst-column summary of ``batch``; a 1-D ``rhs`` gets a 1-D ``x``."""
+    return SolveResult(
+        x=batch.x.ravel() if np.ndim(rhs) == 1 else batch.x,
+        converged=batch.all_converged,
+        iterations=int(batch.iterations.max(initial=0)),
+        residual_norm=float(batch.residual_norms.max(initial=0.0)),
+        matvecs=batch.matvecs,
+        precond_applications=batch.precond_applications,
+        work=batch.work,
+    )
+
+
 def solve_laplacian(
     graph: Graph,
     rhs: np.ndarray,
@@ -123,48 +132,50 @@ def solve_laplacian(
     graph:
         Connected weighted graph defining the Laplacian.
     rhs:
-        Right-hand side (projected against constants internally).  A 2-D
-        ``(n, k)`` array is solved through the blocked multi-RHS path
-        (:func:`repro.linalg.cg.laplacian_solve_many`) with the chain
-        attached as a blocked preconditioner — one chain build and one
-        flat matrix pass per iteration for all ``k`` columns, instead of
-        ``k`` independent solves; the report then carries the per-column
-        outcome in ``batch``.
+        Right-hand side (projected against constants internally): an
+        ``(n,)`` vector or an ``(n, k)`` block.  Either way it is solved by
+        blocked CG (:func:`repro.linalg.cg.laplacian_solve_many`) with the
+        chain attached as a blocked preconditioner — one chain build and
+        one flat matrix pass per iteration for all ``k`` columns; a vector
+        is solved as a one-column block and its solution raveled.
     tol:
         Relative residual target.
     config:
         Sparsifier configuration for chain construction.
     rho:
-        Per-level sparsification factor; defaults to
+        Per-level sparsification factor of the chain build; defaults to
         ``O(log n * log^2 kappa)`` scaled to practical size.
     epsilon_per_level:
-        Per-level epsilon; defaults to ``min(0.5, 1 / log2(kappa))`` as the
-        framework requires.
+        Per-level epsilon of the chain build; defaults to
+        ``min(0.5, 1 / log2(kappa))`` as the framework requires.
     presparsify:
         Build the chain for a 2-approximation of the input (Section 4's
         final improvement) rather than for the input itself.
     chain:
-        Reuse an existing chain instead of building one.
+        Reuse an existing chain instead of building one.  ``config``,
+        ``rho``, ``epsilon_per_level``, ``presparsify`` and ``seed`` only
+        serve the build and are ignored then, and the condition estimate
+        is not computed.
     seed:
         RNG seed for all sparsifier invocations.
     block_size:
-        Columns per chunk of the blocked path (2-D ``rhs`` only).
+        Columns per chunk of the blocked solve.
     """
     rhs_arr = np.asarray(rhs, dtype=float)
     if rhs_arr.ndim > 2:
         raise ValueError(f"rhs must be 1-D or 2-D, got shape {rhs_arr.shape}")
-    rng = as_rng(seed)
-    config = config if config is not None else SparsifierConfig()
-    kappa = estimate_condition_number(graph)
-    log_kappa = max(1.0, np.log2(max(kappa, 2.0)))
-    if epsilon_per_level is None:
-        epsilon_per_level = float(min(0.5, 1.0 / log_kappa))
-        epsilon_per_level = max(epsilon_per_level, 0.05)
-    if rho is None:
-        rho = float(max(2.0, min(16.0, np.log2(max(graph.num_vertices, 2)))))
-
+    kappa: Optional[float] = None
     preconditioner_graph = graph
     if chain is None:
+        rng = as_rng(seed)
+        config = config if config is not None else SparsifierConfig()
+        kappa = estimate_condition_number(graph)
+        log_kappa = max(1.0, np.log2(max(kappa, 2.0)))
+        if epsilon_per_level is None:
+            epsilon_per_level = float(min(0.5, 1.0 / log_kappa))
+            epsilon_per_level = max(epsilon_per_level, 0.05)
+        if rho is None:
+            rho = float(max(2.0, min(16.0, np.log2(max(graph.num_vertices, 2)))))
         if presparsify and graph.num_edges > 4 * graph.num_vertices:
             pre = parallel_sparsify(
                 graph, epsilon=0.5, rho=rho, config=config, seed=rng
@@ -178,51 +189,23 @@ def solve_laplacian(
             seed=rng,
         )
 
-    model_stub = chain_work_model(chain)
-    if rhs_arr.ndim == 2:
-        # Blocked delegation: the chain applies to the whole active block,
-        # so k columns cost one flat pass per operator per iteration.
-        batch = laplacian_solve_many(
-            graph.laplacian(),
-            rhs_arr,
-            tol=tol,
-            max_iterations=max_iterations,
-            block_size=block_size,
-            preconditioner=chain_preconditioner(chain),
-            precond_work_per_application=model_stub.work_per_application,
-        )
-        result = SolveResult(
-            x=batch.x,
-            converged=batch.all_converged,
-            iterations=int(batch.iterations.max(initial=0)),
-            residual_norm=float(batch.residual_norms.max(initial=0.0)),
-            matvecs=batch.matvecs,
-            precond_applications=batch.precond_applications,
-            work=batch.work,
-            residual_history=[],
-        )
-        return SDDSolveReport(
-            result=result,
-            chain=chain,
-            work_model=chain_work_model(chain, result),
-            preconditioner_graph_edges=preconditioner_graph.num_edges,
-            condition_estimate=kappa,
-            batch=batch,
-        )
-    result = laplacian_solve(
+    batch = laplacian_solve_many(
         graph.laplacian(),
-        rhs,
+        rhs_arr,
         tol=tol,
         max_iterations=max_iterations,
+        block_size=block_size,
         preconditioner=chain_preconditioner(chain),
-        precond_work_per_application=model_stub.work_per_application,
+        precond_work_per_application=chain_work_model(chain).work_per_application,
     )
+    result = _summary(batch, rhs_arr)
     return SDDSolveReport(
         result=result,
         chain=chain,
         work_model=chain_work_model(chain, result),
         preconditioner_graph_edges=preconditioner_graph.num_edges,
         condition_estimate=kappa,
+        batch=batch,
     )
 
 
@@ -239,7 +222,8 @@ def solve_sdd(
     The system is reduced to a Laplacian on the Gremban double cover, the
     Laplacian solver runs there, and the solution is mapped back.  The
     returned report's ``result.x`` is the solution of the *original*
-    system; iteration/work numbers refer to the reduced solve.
+    system; iteration/work numbers (and ``batch``) refer to the reduced
+    solve.
     """
     if not is_sdd(matrix):
         raise NotSDDError("solve_sdd requires a symmetric diagonally dominant matrix")
@@ -249,33 +233,16 @@ def solve_sdd(
     report = solve_laplacian(
         graph, reduced_rhs, tol=tol, config=config, seed=seed, **kwargs
     )
-    solution = sdd.recover(report.result.x)
-    # Repackage with the recovered solution but the reduced solve's metrics.
-    inner = report.result
-    recovered = SolveResult(
-        x=solution,
-        converged=inner.converged,
-        iterations=inner.iterations,
-        residual_norm=inner.residual_norm,
-        matvecs=inner.matvecs,
-        precond_applications=inner.precond_applications,
-        work=inner.work,
-        residual_history=inner.residual_history,
-    )
-    return SDDSolveReport(
-        result=recovered,
-        chain=report.chain,
-        work_model=report.work_model,
-        preconditioner_graph_edges=report.preconditioner_graph_edges,
-        condition_estimate=report.condition_estimate,
-    )
+    recovered = replace(report.result, x=sdd.recover(report.result.x))
+    return replace(report, result=recovered)
 
 
 def baseline_cg_solve(
     graph: Graph, rhs: np.ndarray, tol: float = 1e-8, max_iterations: Optional[int] = None
 ) -> SolveResult:
     """Plain (unpreconditioned) CG on the Laplacian — the E7 baseline."""
-    return laplacian_solve(graph.laplacian(), rhs, tol=tol, max_iterations=max_iterations)
+    batch = laplacian_solve_many(graph.laplacian(), rhs, tol=tol, max_iterations=max_iterations)
+    return _summary(batch, rhs)
 
 
 def baseline_jacobi_cg_solve(
@@ -284,12 +251,12 @@ def baseline_jacobi_cg_solve(
     """Diagonally preconditioned CG on the Laplacian — the cheap-preconditioner baseline."""
     lap = graph.laplacian()
     diag = lap.diagonal()
-    safe = np.where(diag > 0, diag, 1.0)
+    safe = np.where(diag > 0, diag, 1.0)[:, None]
 
     def jacobi(residual: np.ndarray) -> np.ndarray:
         return residual / safe
 
-    return laplacian_solve(
+    batch = laplacian_solve_many(
         lap,
         rhs,
         tol=tol,
@@ -297,3 +264,4 @@ def baseline_jacobi_cg_solve(
         preconditioner=jacobi,
         precond_work_per_application=float(graph.num_vertices),
     )
+    return _summary(batch, rhs)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.config import SparsifierConfig
+from repro.core.config import SOLVER_CHOICES, SparsifierConfig
 from repro.exceptions import SparsificationError
 
 
@@ -43,7 +43,8 @@ class TestValidation:
 
     def test_solver_choices(self):
         assert SparsifierConfig().solver == "cg"
-        for choice in ("cg", "chain", "auto"):
+        assert SOLVER_CHOICES == ("cg", "chain")
+        for choice in SOLVER_CHOICES:
             assert SparsifierConfig(solver=choice).solver == choice
         with pytest.raises(SparsificationError):
             SparsifierConfig(solver="gaussian")

@@ -6,13 +6,7 @@ import scipy.sparse as sp
 
 from repro.exceptions import ConvergenceError
 from repro.graphs import generators as gen
-from repro.linalg.cg import (
-    chebyshev_iteration,
-    conjugate_gradient,
-    deflate_constant,
-    jacobi_iteration,
-    laplacian_solve,
-)
+from repro.linalg.cg import SolveStatus, laplacian_solve_many
 from repro.linalg.eigen import (
     condition_number,
     extreme_generalized_eigenvalues,
@@ -30,33 +24,31 @@ def _spd_matrix(n: int, seed: int) -> np.ndarray:
 
 
 class TestConjugateGradient:
+    """The SPD side (``deflate=False``) of the one CG kernel."""
+
     def test_solves_spd_system(self):
         mat = _spd_matrix(30, 0)
         rng = np.random.default_rng(1)
         x_true = rng.standard_normal(30)
-        result = conjugate_gradient(mat, mat @ x_true, tol=1e-10)
-        assert result.converged
-        assert np.allclose(result.x, x_true, atol=1e-6)
+        result = laplacian_solve_many(mat, mat @ x_true, tol=1e-10, deflate=False)
+        assert result.all_converged
+        assert np.allclose(result.x[:, 0], x_true, atol=1e-6)
 
     def test_zero_rhs(self):
-        result = conjugate_gradient(np.eye(5), np.zeros(5))
-        assert result.converged
+        result = laplacian_solve_many(np.eye(5), np.zeros(5), deflate=False)
+        assert result.all_converged
         assert np.allclose(result.x, 0.0)
-        assert result.iterations == 0
+        assert result.iterations[0] == 0
 
     def test_rhs_length_checked(self):
-        with pytest.raises(ValueError):
-            conjugate_gradient(np.eye(4), np.ones(5))
-
-    def test_residual_history_monotone_start_end(self):
-        mat = _spd_matrix(20, 2)
-        result = conjugate_gradient(mat, np.ones(20), tol=1e-10)
-        assert result.residual_history[0] >= result.residual_history[-1]
+        with pytest.raises(ValueError, match="rows"):
+            laplacian_solve_many(np.eye(4), np.ones(5), deflate=False)
 
     def test_work_and_matvec_accounting(self):
         mat = sp.csr_matrix(_spd_matrix(15, 3))
-        result = conjugate_gradient(mat, np.ones(15), tol=1e-10)
-        assert result.matvecs == result.iterations + 1
+        result = laplacian_solve_many(mat, np.ones(15), tol=1e-10, deflate=False)
+        # x0 = 0, so the initial residual is b itself: one matvec per iteration.
+        assert result.matvecs == result.iterations[0] > 0
         assert result.work == pytest.approx(mat.nnz * result.matvecs)
 
     def test_preconditioner_reduces_iterations(self):
@@ -64,45 +56,48 @@ class TestConjugateGradient:
         diag = np.logspace(0, 6, 40)
         mat = np.diag(diag)
         b = np.ones(40)
-        plain = conjugate_gradient(mat, b, tol=1e-10)
-        precond = conjugate_gradient(mat, b, tol=1e-10, preconditioner=lambda r: r / diag)
-        assert precond.iterations < plain.iterations
-        assert precond.precond_applications >= precond.iterations
+        plain = laplacian_solve_many(mat, b, tol=1e-10, deflate=False)
+        precond = laplacian_solve_many(
+            mat, b, tol=1e-10, deflate=False, preconditioner=lambda r: r / diag[:, None]
+        )
+        assert precond.iterations[0] < plain.iterations[0]
+        assert precond.precond_applications >= precond.iterations[0]
 
     def test_max_iterations_respected(self):
         diag = np.logspace(0, 8, 50)
-        result = conjugate_gradient(np.diag(diag), np.ones(50), tol=1e-14, max_iterations=3)
-        assert result.iterations <= 3
-        assert not result.converged
+        result = laplacian_solve_many(
+            np.diag(diag), np.ones(50), tol=1e-14, max_iterations=3, deflate=False
+        )
+        assert result.iterations[0] <= 3
+        assert not result.all_converged
+        assert result.status[0] == SolveStatus.MAX_ITERATIONS
 
     def test_raise_on_failure(self):
         diag = np.logspace(0, 8, 50)
         with pytest.raises(ConvergenceError):
-            conjugate_gradient(
-                np.diag(diag), np.ones(50), tol=1e-14, max_iterations=2, raise_on_failure=True
+            laplacian_solve_many(
+                np.diag(diag), np.ones(50), tol=1e-14, max_iterations=2, deflate=False,
+                raise_on_failure=True,
             )
-
-    def test_x0_initial_guess_used(self):
-        mat = _spd_matrix(10, 4)
-        x_true = np.arange(10.0)
-        result = conjugate_gradient(mat, mat @ x_true, x0=x_true, tol=1e-10)
-        assert result.iterations == 0
-        assert result.converged
 
 
 class TestLaplacianSolve:
+    """The Laplacian side (``deflate=True``, the default) with a 1-D rhs."""
+
     def test_solves_connected_laplacian(self, small_er_graph):
         lap = small_er_graph.laplacian()
         rng = np.random.default_rng(0)
-        b = deflate_constant(rng.standard_normal(small_er_graph.num_vertices))
-        result = laplacian_solve(lap, b, tol=1e-10)
-        assert result.converged
-        assert np.linalg.norm(lap @ result.x - b) < 1e-6 * np.linalg.norm(b)
+        b = rng.standard_normal(small_er_graph.num_vertices)
+        b -= b.mean()
+        result = laplacian_solve_many(lap, b, tol=1e-10)
+        assert result.all_converged
+        assert np.linalg.norm(lap @ result.x[:, 0] - b) < 1e-6 * np.linalg.norm(b)
 
     def test_solution_is_mean_zero(self, small_er_graph):
         lap = small_er_graph.laplacian()
-        b = deflate_constant(np.arange(small_er_graph.num_vertices, dtype=float))
-        result = laplacian_solve(lap, b, tol=1e-10)
+        b = np.arange(small_er_graph.num_vertices, dtype=float)
+        b -= b.mean()
+        result = laplacian_solve_many(lap, b, tol=1e-10)
         assert abs(result.x.mean()) < 1e-9
 
     def test_handles_unprojected_rhs(self, grid_graph_8x8):
@@ -110,36 +105,11 @@ class TestLaplacianSolve:
         b = np.zeros(grid_graph_8x8.num_vertices)
         b[0], b[-1] = 1.0, -1.0
         b += 5.0  # constant shift is projected away
-        result = laplacian_solve(lap, b, tol=1e-10)
-        assert result.converged
-
-    def test_deflate_constant(self):
-        assert abs(deflate_constant(np.array([1.0, 2.0, 3.0])).mean()) < 1e-15
-
-
-class TestJacobiAndChebyshev:
-    def test_jacobi_converges_on_dominant_system(self):
-        mat = _spd_matrix(20, 5) + 50 * np.eye(20)
-        result = jacobi_iteration(mat, np.ones(20), tol=1e-8, max_iterations=500)
-        assert result.converged
-
-    def test_jacobi_requires_positive_diagonal(self):
-        mat = np.array([[0.0, 1.0], [1.0, 0.0]])
-        with pytest.raises(ValueError):
-            jacobi_iteration(mat, np.ones(2))
-
-    def test_chebyshev_converges_with_good_bounds(self):
-        mat = _spd_matrix(25, 6)
-        eigs = np.linalg.eigvalsh(mat)
-        result = chebyshev_iteration(
-            mat, np.ones(25), eig_min=float(eigs[0]), eig_max=float(eigs[-1]),
-            tol=1e-8, max_iterations=400,
-        )
-        assert result.converged
-
-    def test_chebyshev_rejects_bad_bounds(self):
-        with pytest.raises(ValueError):
-            chebyshev_iteration(np.eye(3), np.ones(3), eig_min=2.0, eig_max=1.0)
+        result = laplacian_solve_many(lap, b, tol=1e-10)
+        assert result.all_converged
+        projected = b - b.mean()
+        residual = np.linalg.norm(lap @ result.x[:, 0] - projected)
+        assert residual < 1e-8 * np.linalg.norm(projected)
 
 
 class TestPseudoinverse:
@@ -226,6 +196,20 @@ class TestEigen:
         g = gen.complete_graph(5)
         # All nonzero eigenvalues equal n, so the condition number is 1.
         assert condition_number(g.laplacian()) == pytest.approx(1.0, abs=1e-8)
+
+    def test_large_sparse_pencil_never_densified(self, monkeypatch):
+        """Past the dense limit the pencil goes straight to the iterative path."""
+        import repro.linalg.eigen as eig_mod
+
+        def refuse(matrix):
+            raise AssertionError("large sparse pencil densified")
+
+        monkeypatch.setattr(eig_mod, "_dense", refuse)
+        g = gen.path_graph(eig_mod._DENSE_LIMIT + 100)
+        lap = g.laplacian()
+        lo, hi = extreme_generalized_eigenvalues(2.0 * lap, lap)
+        assert lo == pytest.approx(2.0, abs=1e-6)
+        assert hi == pytest.approx(2.0, abs=1e-6)
 
     def test_iterative_path_reasonable(self):
         """The projected estimate for large pencils brackets the true range."""

@@ -1,7 +1,7 @@
 """Parity tests for the blocked multi-RHS solver and its consumers.
 
-``laplacian_solve_many`` is pinned against per-column ``laplacian_solve``
-and the dense-pseudoinverse path on small graphs, across every workload
+``laplacian_solve_many`` is pinned against the dense pseudoinverse
+(column by column and as a block) on small graphs, across every workload
 the certification layer routes through it: explicit pairs, all-edges /
 leverage scores, and the JL sketch (same sign matrix on both sides).
 Edge cases: zero RHS columns, disconnected graphs, sparse RHS input, and
@@ -17,7 +17,7 @@ from repro.graphs import generators as gen
 from repro.graphs.connectivity import connected_components, sample_component_pairs
 from repro.graphs.graph import Graph
 from repro.graphs.operations import disjoint_union
-from repro.linalg.cg import laplacian_solve, laplacian_solve_many
+from repro.linalg.cg import laplacian_solve_many
 from repro.linalg.pseudoinverse import laplacian_pseudoinverse
 from repro.resistance._reference import (
     looped_approximate_resistances,
@@ -45,9 +45,9 @@ class TestLaplacianSolveMany:
         batch = laplacian_solve_many(lap, rhs, tol=1e-10, block_size=4)
         assert batch.all_converged
         assert batch.num_blocks == 3
+        pinv = laplacian_pseudoinverse(lap)
         for j in range(rhs.shape[1]):
-            single = laplacian_solve(lap, rhs[:, j], tol=1e-10)
-            assert np.allclose(batch.x[:, j], single.x, atol=1e-7)
+            assert np.allclose(batch.x[:, j], pinv @ rhs[:, j], atol=1e-7)
 
     def test_matches_pseudoinverse(self, weighted_er_graph):
         lap = weighted_er_graph.laplacian()
@@ -228,7 +228,7 @@ class TestBlockedResistanceParity:
 
 class TestBlockedJLSketch:
     def test_same_signs_match_per_column_solves(self, small_er_graph):
-        """Feed the blocked RHS construction through per-column CG: identical."""
+        """Feed the blocked RHS construction through per-column pinv: identical."""
         g = small_er_graph
         n, m = g.num_vertices, g.num_edges
         k = 6
@@ -236,6 +236,7 @@ class TestBlockedJLSketch:
         signs = rng.integers(0, 2, size=(k, m), dtype=np.int8) * 2 - 1
         sqrt_w = np.sqrt(g.edge_weights)
         lap = g.laplacian()
+        pinv = laplacian_pseudoinverse(lap)
         scale = 1.0 / np.sqrt(k)
         expected = np.zeros(m)
         rhs = np.zeros((n, k))
@@ -243,7 +244,7 @@ class TestBlockedJLSketch:
             contrib = signs[j] * scale * sqrt_w
             np.add.at(rhs[:, j], g.edge_u, contrib)
             np.add.at(rhs[:, j], g.edge_v, -contrib)
-            z = laplacian_solve(lap, rhs[:, j], tol=1e-10).x
+            z = pinv @ rhs[:, j]
             diff = z[g.edge_u] - z[g.edge_v]
             expected += diff * diff
         batch = laplacian_solve_many(lap, rhs, tol=1e-10, block_size=4)
@@ -505,7 +506,7 @@ class TestChainPreconditionedBlockCG:
 
 
 class TestSolverKnobRouting:
-    """solver="cg"|"chain"|"auto" through the resistance / certification layer."""
+    """solver="cg"|"chain" through the resistance / certification layer."""
 
     def test_pairs_chain_matches_cg_and_pinv(self, weighted_er_graph):
         pairs = np.array([(0, 5), (3, 17), (10, 40), (2, 60)])
@@ -642,7 +643,7 @@ class TestPengSpielmanBlockedDelegation:
             single = solve_laplacian(
                 small_er_graph, rhs[:, j], tol=1e-10, chain=report.chain
             )
-            assert single.batch is None
+            assert single.batch.num_columns == 1
             a = report.x[:, j] - report.x[:, j].mean()
             b = single.x - single.x.mean()
             assert np.allclose(a, b, atol=1e-6)
@@ -652,79 +653,3 @@ class TestPengSpielmanBlockedDelegation:
 
         with pytest.raises(ValueError, match="1-D or 2-D"):
             solve_laplacian(small_er_graph, np.zeros((4, 2, 2)))
-
-
-class TestLambdaMinSaturationFloor:
-    """The lambda_min estimator's resolution limit and the auto rule around it.
-
-    60 power iterations cannot resolve a normalized spectral gap much
-    below ~8e-3 (LAMBDA_MIN_SATURATION_FLOOR): the estimate converges to
-    lambda_min from above at a rate governed by the gap itself, so
-    genuinely ill-conditioned graphs all report ~the floor regardless of
-    their true gap.  These tests pin the floor empirically and pin
-    resolve_solver's "gap unknown" handling of floor-level estimates.
-    """
-
-    def test_path_graph_estimates_saturate_at_floor(self):
-        """Paths with true gaps of 1e-4..1e-6 all report ~the floor."""
-        from repro.solvers.chain import (
-            LAMBDA_MIN_SATURATION_FLOOR,
-            estimate_normalized_lambda_min,
-        )
-
-        for n in (400, 1000, 3000):
-            graph = gen.path_graph(n)
-            estimate = estimate_normalized_lambda_min(graph)
-            true_gap = 2.0 * (1.0 - np.cos(np.pi / n))  # ~ (pi/n)^2
-            assert true_gap < LAMBDA_MIN_SATURATION_FLOOR / 5
-            assert (
-                LAMBDA_MIN_SATURATION_FLOOR / 3
-                <= estimate
-                <= 3 * LAMBDA_MIN_SATURATION_FLOOR
-            ), f"path n={n}: estimate {estimate} escaped the documented floor band"
-
-    def test_floor_is_below_chain_threshold(self):
-        """The floor must stay inside the "chain" band or auto could never warn."""
-        from repro.resistance.solver_select import CHAIN_LAMBDA_THRESHOLD
-        from repro.solvers.chain import LAMBDA_MIN_SATURATION_FLOOR
-
-        assert LAMBDA_MIN_SATURATION_FLOOR < CHAIN_LAMBDA_THRESHOLD
-
-    def test_auto_treats_floor_level_estimate_as_unknown(self, monkeypatch):
-        """gap <= floor -> warn + plain-CG default instead of silently chain."""
-        from repro.resistance.solver_select import resolve_solver
-        from repro.solvers import chain as chain_module
-
-        big = gen.banded_graph(5000, 3)
-        monkeypatch.setattr(
-            chain_module, "estimate_normalized_lambda_min", lambda g: 5e-3
-        )
-        with pytest.warns(RuntimeWarning, match="saturation floor"):
-            assert resolve_solver("auto", big, 64) == "cg"
-        # Exactly at the floor is still "unknown".
-        monkeypatch.setattr(
-            chain_module, "estimate_normalized_lambda_min", lambda g: 8e-3
-        )
-        with pytest.warns(RuntimeWarning, match="gap is unknown"):
-            assert resolve_solver("auto", big, 64) == "cg"
-
-    def test_auto_still_picks_sides_above_the_floor(self, monkeypatch):
-        """Measurable estimates route exactly as before (no new warnings)."""
-        import warnings
-
-        from repro.resistance.solver_select import resolve_solver
-        from repro.solvers import chain as chain_module
-
-        big = gen.banded_graph(5000, 3)
-        monkeypatch.setattr(
-            chain_module, "estimate_normalized_lambda_min", lambda g: 0.01
-        )
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert resolve_solver("auto", big, 64) == "chain"
-        monkeypatch.setattr(
-            chain_module, "estimate_normalized_lambda_min", lambda g: 0.5
-        )
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert resolve_solver("auto", big, 64) == "cg"

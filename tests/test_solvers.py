@@ -177,6 +177,30 @@ class TestSolveLaplacian:
         assert second.result.converged
         assert second.chain is first.chain
 
+    def test_reused_chain_skips_condition_estimate(self, grid_graph_8x8, monkeypatch):
+        """Only the chain build uses the condition estimate."""
+        import repro.solvers.peng_spielman as peng_spielman
+
+        chain = build_inverse_chain(grid_graph_8x8, config=CONFIG, seed=8)
+
+        def refuse(graph, cap=1e12):
+            raise AssertionError("condition estimate computed for a reused chain")
+
+        monkeypatch.setattr(peng_spielman, "estimate_condition_number", refuse)
+        report = solve_laplacian(grid_graph_8x8, _rhs_for(grid_graph_8x8), chain=chain)
+        assert report.result.converged
+        assert report.condition_estimate is None
+
+    def test_vector_rhs_is_column_zero_of_block(self, grid_graph_8x8):
+        """A 1-D rhs is the one-column block solve, raveled: bit-identical."""
+        chain = build_inverse_chain(grid_graph_8x8, config=CONFIG, seed=9)
+        b = _rhs_for(grid_graph_8x8, 3)
+        vector = solve_laplacian(grid_graph_8x8, b, chain=chain)
+        block = solve_laplacian(grid_graph_8x8, b[:, None], chain=chain)
+        assert vector.x.shape == (grid_graph_8x8.num_vertices,)
+        assert np.array_equal(vector.x, block.x[:, 0])
+        assert vector.result.iterations == block.result.iterations
+
     def test_condition_estimate_positive(self, grid_graph_8x8):
         assert estimate_condition_number(grid_graph_8x8) > 1.0
 
@@ -223,3 +247,5 @@ class TestSolveSDD:
         report = solve_sdd(mat, rng.standard_normal(n), config=CONFIG, seed=6)
         assert report.condition_estimate >= 1.0
         assert report.result.iterations > 0
+        assert report.batch.num_columns == 1
+        assert report.x.shape == (n,)
