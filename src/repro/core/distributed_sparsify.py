@@ -176,7 +176,7 @@ def _sharded_distributed_sample(
     results = backend.map(_shard_sample_worker, items, shared=shared, policy=failure_policy)
 
     bundle_indices, kept_outside, total_outside = merge_shard_samples(
-        results, shards.boundary_edge_indices
+        results, shards.boundary_edge_indices, m
     )
     components_built = max((r["components"] for r in results), default=0)
 

@@ -97,17 +97,20 @@ def sample_nonbundle_edges(
 
 
 def merge_shard_samples(
-    results: list, boundary_edge_indices: np.ndarray
+    results: list, boundary_edge_indices: np.ndarray, num_edges: int
 ) -> Tuple[np.ndarray, np.ndarray, int]:
     """Combine per-shard worker results into global index arrays.
 
     The bundle is the union of every shard's picks plus all cross-shard
-    boundary edges; the sampled survivors are sorted into a canonical
-    order so the output is independent of shard execution order.  Shared
-    by the PRAM and distributed sharded drivers.
+    boundary edges (a mark array over the ``num_edges`` graph edges); the
+    sampled survivors are sorted into a canonical order so the output is
+    independent of shard execution order.  Shared by the PRAM and
+    distributed sharded drivers.
     """
-    bundle_parts = [r["bundle"] for r in results] + [boundary_edge_indices]
-    bundle_indices = np.unique(np.concatenate(bundle_parts))
+    in_bundle = np.zeros(num_edges, dtype=bool)
+    for part in [r["bundle"] for r in results] + [boundary_edge_indices]:
+        in_bundle[part] = True
+    bundle_indices = np.flatnonzero(in_bundle)
     kept_outside = np.sort(
         np.concatenate([r["kept"] for r in results] + [np.array([], dtype=np.int64)])
     )
@@ -237,7 +240,7 @@ def _sharded_parallel_sample(
             tracker.charge(r["cost"].work, r["cost"].depth, label="sample/shard")
 
     bundle_indices, kept_outside, total_outside = merge_shard_samples(
-        results, shards.boundary_edge_indices
+        results, shards.boundary_edge_indices, m
     )
     bundle_result = BundleResult(
         bundle=graph.select_edges(bundle_indices),

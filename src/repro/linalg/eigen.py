@@ -87,13 +87,19 @@ def extreme_generalized_eigenvalues(
 def _extreme_eigs_iterative(
     numerator: MatrixLike, denominator: MatrixLike, null_space_tol: float
 ) -> Tuple[float, float]:
-    """Iterative fallback for large pencils via LOBPCG on the projected pencil.
+    """Estimate for large pencils from a random Galerkin projection.
 
-    Strategy: factor ``den^{+1/2}`` approximately through a partial
-    eigendecomposition is too costly; instead we use the dense path on a
-    random Galerkin projection of moderate dimension, which gives tight
-    estimates for the extreme eigenvalues of graph pencils in practice.
-    The projection dimension grows with log(n) to keep the estimate stable.
+    The subspace is a random block of ``k = O(log n)`` columns plus two
+    power steps of ``num - den`` applied to it.  The pencil is projected
+    onto it, and the dense generalized eigensolver runs on the projected
+    pencil after its ``den`` null space is removed.  No LOBPCG or other
+    iteration to convergence runs.
+
+    The Rayleigh–Ritz values of a subspace are *inner* estimates: the
+    smallest returned value is at least the true ``lambda_min`` and the
+    largest at most the true ``lambda_max``.  The returned range can thus
+    be narrower than the true one, so a certificate built from it can
+    under-report the approximation error.
     """
     num = numerator.tocsr() if sp.issparse(numerator) else sp.csr_matrix(np.asarray(numerator))
     den = denominator.tocsr() if sp.issparse(denominator) else sp.csr_matrix(np.asarray(denominator))

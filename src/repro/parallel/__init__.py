@@ -25,9 +25,7 @@ this subpackage provides the cost models themselves:
   (the reference simulator above stays as the semantic ground truth);
 * :mod:`repro.parallel.backends` — pluggable execution backends
   (serial / thread / process) that actually run shard- and job-level
-  fan-outs concurrently, with a process-wide default registry;
-* :mod:`repro.parallel.scheduler` — the legacy thread-pool executor, now
-  a thin adapter over the backend layer (kept for API compatibility).
+  fan-outs concurrently, with a process-wide default registry.
 """
 
 from repro.parallel.metrics import (
@@ -65,7 +63,6 @@ from repro.parallel.failure import (
     FailureRecord,
     MapOutcome,
 )
-from repro.parallel.scheduler import ParallelExecutor
 
 __all__ = [
     "PRAMCost",
@@ -93,5 +90,4 @@ __all__ = [
     "FailurePolicy",
     "FailureRecord",
     "MapOutcome",
-    "ParallelExecutor",
 ]

@@ -32,10 +32,12 @@ The per-iteration clustering logic follows Baswana–Sen phase 1/phase 2:
    remains adjacent to it through one lightest edge.
 
 Every per-vertex decision is a *segmented reduction* over the (vertex,
-cluster) groups produced by one lexsort — ``np.minimum.reduceat`` /
-``np.logical_or.reduceat`` over group boundaries — so one clustering
-iteration is a small constant number of flat NumPy passes with no Python
-loop over vertices.  The pre-vectorization implementation is preserved in
+cluster) groups produced by one packed-key sort — ``np.minimum.reduceat``
+/ ``np.logical_or.reduceat`` over group boundaries — and covered edges
+are removed by scattering each group's decision back to its rows, so one
+clustering iteration is a small constant number of flat NumPy passes
+with no hashing, no searching and no Python loop over vertices.  The
+pre-vectorization implementation is preserved in
 :mod:`repro.spanners._reference` for golden tests and benchmarking; both
 select bit-identical edge sets for a fixed seed.
 """
@@ -43,7 +45,7 @@ select bit-identical edge sets for a fixed seed.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple, Union
+from typing import Optional, Tuple, Union
 
 import numpy as np
 
@@ -92,13 +94,17 @@ def _segmented_argmin(
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Group rows by integer key; per group, locate the minimum value.
 
-    The radix-style bucketing primitive shared by the shared-memory
-    spanner and the columnar CONGEST decide round: a *stable* sort on the
-    integer key (NumPy's stable sort on integer dtypes is a radix sort)
-    buckets the rows while keeping each bucket in input order, so the
-    earliest sorted position achieving the segment minimum is exactly the
-    earliest *input row* at the minimum — the tie-break every golden test
-    pins down.
+    The bucketing primitive shared by the shared-memory spanner and the
+    columnar CONGEST decide round.  Each key is packed with its row index
+    as ``((key - min) << row_bits) | row`` and the packed values are
+    sorted in place.  They are all distinct, so NumPy's default
+    (unstable) value sort yields exactly the *stable* key order:
+    ``order`` is read from the low bits and keeps each bucket in input
+    order, and the sorted keys from the high bits.  The earliest sorted
+    position achieving the segment minimum is therefore the earliest
+    *input row* at the minimum — the tie-break every golden test pins
+    down.  When the key range plus ``row_bits`` needs more than 62 bits,
+    a stable ``argsort`` on the raw keys produces the same order.
 
     ``keys`` must be non-empty (callers early-out on empty input).
 
@@ -112,58 +118,68 @@ def _segmented_argmin(
     best : per group, the *sorted position* of the earliest row achieving
            the minimum (``order[best]`` gives original row indices)
     """
-    order = np.argsort(keys, kind="stable")
-    keys_sorted = keys[order]
-    starts = np.flatnonzero(np.r_[True, keys_sorted[1:] != keys_sorted[:-1]])
-    counts = np.diff(np.append(starts, keys_sorted.size))
-    seg_of = np.repeat(np.arange(starts.size, dtype=np.int64), counts)
+    size = keys.size
+    positions = np.arange(size, dtype=np.int64)
+    row_bits = (size - 1).bit_length()
+    base = int(keys.min())
+    if (int(keys.max()) - base).bit_length() + row_bits <= 62:
+        keys_sorted = np.subtract(keys, base, dtype=np.int64)
+        keys_sorted <<= row_bits
+        keys_sorted |= positions
+        keys_sorted.sort()
+        order = keys_sorted & ((1 << row_bits) - 1)
+        keys_sorted >>= row_bits
+    else:
+        order = np.argsort(keys, kind="stable")
+        keys_sorted = keys[order]
+    starts, seg_of = _segments(keys_sorted)
+    del keys_sorted
     values_sorted = values[order]
     minima = np.minimum.reduceat(values_sorted, starts)
-    positions = np.arange(keys_sorted.size, dtype=np.int64)
     at_min = values_sorted == minima[seg_of]
-    best = np.minimum.reduceat(np.where(at_min, positions, keys_sorted.size), starts)
+    best = np.minimum.reduceat(np.where(at_min, positions, size), starts)
     return order, starts, seg_of, minima, best
 
 
-def _lightest_per_group(
-    group_a: np.ndarray, group_b: np.ndarray, lengths: np.ndarray, payload: np.ndarray
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """For each (a, b) group return the row of minimum length.
+def _segments(sorted_ids: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Start offsets and per-row run index of the equal runs in ``sorted_ids``."""
+    boundary = np.r_[True, sorted_ids[1:] != sorted_ids[:-1]]
+    return np.flatnonzero(boundary), np.cumsum(boundary, dtype=np.int64) - 1
 
-    Returns arrays (a, b, min_length, payload_at_min) with one entry per
-    distinct (a, b) pair, sorted lexicographically by (a, b).  Ties on
-    length resolve to the earliest input row, which is the tie-breaking
-    order the golden tests pin down.
 
-    Grouping runs through :func:`_segmented_argmin` on the fused integer
-    key ``a * span + b``, replacing the previous three-key ``np.lexsort``
-    whose float comparison sort dominated the per-iteration cost.
+def _group_directed_rows(
+    n: int,
+    edge_u: np.ndarray,
+    edge_v: np.ndarray,
+    lengths: np.ndarray,
+    cluster_u: np.ndarray,
+    cluster_v: np.ndarray,
+    rows_uv: np.ndarray,
+    rows_vu: np.ndarray,
+) -> Tuple[np.ndarray, ...]:
+    """Lightest directed row per (tail vertex, head cluster) group.
+
+    Directed row ``r < m`` reads edge ``r`` from ``edge_u`` towards the
+    cluster of ``edge_v``; row ``m + r`` reads it the other way.
+    ``rows_uv`` / ``rows_vu`` are the sorted valid edge positions of each
+    half, so only valid rows are ever gathered.  Ties on length resolve
+    to the earliest directed row.
+
+    Returns ``(dir_rows, order, seg_of, grp_tail, grp_cluster, grp_len,
+    grp_pos)``: the valid directed row ids, the sorting permutation and
+    group id of each sorted row, and per group (in ascending (tail,
+    cluster) order) its tail, head cluster, minimum length and the edge
+    position achieving it.
     """
-    if group_a.size == 0:
-        empty = np.array([], dtype=np.int64)
-        return empty, empty, np.array([]), empty
-    base_a = np.int64(group_a.min())
-    base_b = np.int64(group_b.min())
-    span = np.int64(group_b.max()) - base_b + 1
-    key = (group_a - base_a) * span + (group_b - base_b)
-    order, _, _, _, best = _segmented_argmin(key, lengths)
+    m = edge_u.shape[0]
+    tail = np.concatenate([edge_u[rows_uv], edge_v[rows_vu]])
+    head = np.concatenate([cluster_v[rows_uv], cluster_u[rows_vu]])
+    row_len = np.concatenate([lengths[rows_uv], lengths[rows_vu]])
+    # tail * n + head orders groups lexicographically by (tail, cluster).
+    order, _, seg_of, grp_len, best = _segmented_argmin(tail * np.int64(n) + head, row_len)
     sel = order[best]
-    return group_a[sel], group_b[sel], lengths[sel], payload[sel]
-
-
-def _sorted_membership(sorted_keys: np.ndarray, keys: np.ndarray) -> np.ndarray:
-    """Membership mask of ``keys`` in the sorted unique array ``sorted_keys``.
-
-    Two binary searches replace the ``np.isin`` sort-per-call: O(|keys|
-    log |sorted_keys|) with no temporary sort of the haystack.
-    """
-    if sorted_keys.size == 0:
-        return np.zeros(keys.shape[0], dtype=bool)
-    pos = np.searchsorted(sorted_keys, keys)
-    inside = pos < sorted_keys.size
-    out = np.zeros(keys.shape[0], dtype=bool)
-    out[inside] = sorted_keys[pos[inside]] == keys[inside]
-    return out
+    dir_rows = np.concatenate([rows_uv, rows_vu + m])
+    return dir_rows, order, seg_of, tail[sel], head[sel], grp_len, dir_rows[sel] % m
 
 
 def _spanner_select(
@@ -185,68 +201,67 @@ def _spanner_select(
     # never mutated in place, so the caller's (possibly read-only) arrays
     # are used as-is.
     lengths = 1.0 / weights  # resistive metric
-    m = edge_u.shape[0]
-    edge_idx = np.arange(m, dtype=np.int64)
+    chosen = np.zeros(edge_u.shape[0], dtype=bool)
+    edge_idx = np.arange(edge_u.shape[0], dtype=np.int64)
 
     # cluster[v] = centre vertex id, or -1 once v leaves the clustering.
     cluster = np.arange(n, dtype=np.int64)
     sample_probability = float(n) ** (-1.0 / k) if n > 1 else 1.0
 
-    chosen: List[np.ndarray] = []
-
     for _iteration in range(k - 1):
-        if edge_idx.size == 0:
+        m = edge_idx.size
+        if m == 0:
             break
         # --- sample clusters -------------------------------------------------
-        active_centers = np.unique(cluster[cluster >= 0])
-        sampled_flags = rng.random(active_centers.shape[0]) < sample_probability
+        clustered = cluster >= 0
         center_sampled = np.zeros(n, dtype=bool)
-        center_sampled[active_centers[sampled_flags]] = True
+        center_sampled[cluster[clustered]] = True
+        active_centers = np.flatnonzero(center_sampled)
+        sampled_flags = rng.random(active_centers.shape[0]) < sample_probability
+        center_sampled[active_centers[~sampled_flags]] = False
         # PRAM: each cluster flips a coin, each vertex reads its centre's coin.
         tracker.charge_parallel_for(active_centers.shape[0], label="spanner/sample-clusters")
         tracker.charge_parallel_for(n, label="spanner/propagate-sampling")
 
         in_sampled = np.zeros(n, dtype=bool)
-        clustered = cluster >= 0
         in_sampled[clustered] = center_sampled[cluster[clustered]]
 
         # --- per (vertex, neighbouring cluster) lightest edges --------------
         # Directed view: each remaining edge appears once per endpoint.
-        du = np.concatenate([edge_u, edge_v])
-        dv = np.concatenate([edge_v, edge_u])
-        dlen = np.concatenate([lengths, lengths])
-        didx = np.concatenate([edge_idx, edge_idx])
-        head_cluster = cluster[dv]
         # Only clustered heads count, and only vertices outside sampled
         # clusters act this iteration.
-        valid = (head_cluster >= 0) & ~in_sampled[du]
-        du, dlen, didx, head_cluster = (
-            du[valid], dlen[valid], didx[valid], head_cluster[valid]
-        )
-        tracker.charge_parallel_for(2 * edge_idx.size, label="spanner/scan-edges")
+        cluster_u = cluster[edge_u]
+        cluster_v = cluster[edge_v]
+        rows_uv = np.flatnonzero((cluster_v >= 0) & ~in_sampled[edge_u])
+        rows_vu = np.flatnonzero((cluster_u >= 0) & ~in_sampled[edge_v])
+        num_rows = rows_uv.size + rows_vu.size
+        tracker.charge_parallel_for(2 * m, label="spanner/scan-edges")
 
-        if du.size == 0:
+        if num_rows == 0:
             # Nothing to do; clustering simply persists for sampled clusters.
             cluster = np.where(in_sampled, cluster, -1)
             continue
 
-        grp_v, grp_c, grp_len, grp_edge = _lightest_per_group(du, head_cluster, dlen, didx)
+        dir_rows, order, row_group, grp_v, grp_c, grp_len, grp_pos = _group_directed_rows(
+            n, edge_u, edge_v, lengths, cluster_u, cluster_v, rows_uv, rows_vu
+        )
+        # The O(m) temporaries are freed as soon as they are dead: at 10⁶
+        # edges they set the process's peak memory.
+        del cluster_u, cluster_v, rows_uv, rows_vu
         # PRAM: grouping/minimum per (v, c) pair is a segmented reduction.
-        tracker.charge_reduction(du.size, label="spanner/group-min")
+        tracker.charge_reduction(num_rows, label="spanner/group-min")
 
         # --- per-vertex decisions (segmented reductions) --------------------
         # grp_* arrays are sorted by (vertex, cluster); one segment per
         # acting vertex.  Case (a) — no adjacent sampled cluster — keeps
         # every segment entry; case (b) keeps the strictly lighter entries
         # plus the lightest sampled one (first on ties, matching argmin
-        # over the lexsorted segment).  The removal (vertex, cluster) pairs
+        # over the sorted segment).  The removal (vertex, cluster) pairs
         # coincide with the kept entries in both cases.
         new_cluster = np.where(in_sampled, cluster, -1)
 
         num_entries = grp_v.size
-        seg_starts = np.concatenate([[0], np.flatnonzero(grp_v[1:] != grp_v[:-1]) + 1])
-        seg_lengths = np.diff(np.append(seg_starts, num_entries))
-        seg_of = np.repeat(np.arange(seg_starts.size, dtype=np.int64), seg_lengths)
+        seg_starts, seg_of = _segments(grp_v)
 
         entry_sampled = center_sampled[grp_c]
         seg_any_sampled = np.logical_or.reduceat(entry_sampled, seg_starts)
@@ -272,31 +287,26 @@ def _spanner_select(
         # log-depth min over the vertex's adjacent clusters).
         tracker.charge_reduction(num_entries, label="spanner/vertex-decisions")
 
-        chosen.append(grp_edge[keep_entry])
+        chosen[edge_idx[grp_pos[keep_entry]]] = True
 
         # --- remove covered edges -------------------------------------------
         # An edge (x, y) is removed if the pair (x, cluster_old(y)) or
         # (y, cluster_old(x)) was scheduled for removal, or if both endpoints
         # now share a cluster (it is covered inside that cluster).  The
-        # removal pairs are exactly the kept (vertex, cluster) entries.
-        removal_keys = np.unique(grp_v[keep_entry] * np.int64(n) + grp_c[keep_entry])
-
-        old_cluster_u = cluster[edge_u]
-        old_cluster_v = cluster[edge_v]
-        key_uv = np.where(
-            old_cluster_v >= 0, edge_u * np.int64(n) + old_cluster_v, np.int64(-1)
-        )
-        key_vu = np.where(
-            old_cluster_u >= 0, edge_v * np.int64(n) + old_cluster_u, np.int64(-1)
-        )
-        removed = _sorted_membership(removal_keys, key_uv) | _sorted_membership(
-            removal_keys, key_vu
-        )
-        same_new_cluster = (
-            (new_cluster[edge_u] >= 0) & (new_cluster[edge_u] == new_cluster[edge_v])
-        )
-        keep = ~(removed | same_new_cluster)
-        tracker.charge_parallel_for(edge_idx.size, label="spanner/remove-covered")
+        # removal pairs are exactly the kept (vertex, cluster) groups, and
+        # every valid directed row knows its group, so the removal is one
+        # scatter.  A filtered-out row cannot match a removal pair: its head
+        # is unclustered, or its tail sits in a sampled cluster and so
+        # heads no group.
+        removed_dir = np.zeros(2 * m, dtype=bool)
+        removed_dir[dir_rows[order]] = keep_entry[row_group]
+        del dir_rows, order, row_group
+        removed = removed_dir[:m] | removed_dir[m:]
+        del removed_dir
+        new_cluster_u = new_cluster[edge_u]
+        keep = ~removed & ((new_cluster_u < 0) | (new_cluster_u != new_cluster[edge_v]))
+        del removed, new_cluster_u
+        tracker.charge_parallel_for(m, label="spanner/remove-covered")
 
         edge_u, edge_v, lengths, edge_idx = (
             edge_u[keep], edge_v[keep], lengths[keep], edge_idx[keep]
@@ -307,21 +317,19 @@ def _spanner_select(
     # Phase 2: vertex-cluster joining on the final clustering.
     # ------------------------------------------------------------------ #
     if edge_idx.size:
-        du = np.concatenate([edge_u, edge_v])
-        dv = np.concatenate([edge_v, edge_u])
-        dlen = np.concatenate([lengths, lengths])
-        didx = np.concatenate([edge_idx, edge_idx])
-        head_cluster = cluster[dv]
-        valid = head_cluster >= 0
-        du, dlen, didx, head_cluster = du[valid], dlen[valid], didx[valid], head_cluster[valid]
-        if du.size:
-            _, _, _, phase2_edges = _lightest_per_group(du, head_cluster, dlen, didx)
-            chosen.append(phase2_edges)
-        tracker.charge_reduction(max(du.size, 1), label="spanner/phase2")
+        cluster_u = cluster[edge_u]
+        cluster_v = cluster[edge_v]
+        rows_uv = np.flatnonzero(cluster_v >= 0)
+        rows_vu = np.flatnonzero(cluster_u >= 0)
+        num_rows = rows_uv.size + rows_vu.size
+        if num_rows:
+            grp_pos = _group_directed_rows(
+                n, edge_u, edge_v, lengths, cluster_u, cluster_v, rows_uv, rows_vu
+            )[-1]
+            chosen[edge_idx[grp_pos]] = True
+        tracker.charge_reduction(max(num_rows, 1), label="spanner/phase2")
 
-    if chosen:
-        return np.unique(np.concatenate(chosen))
-    return np.array([], dtype=np.int64)
+    return np.flatnonzero(chosen)
 
 
 def _materialize_selection(graph: GraphLike, indices: np.ndarray) -> Graph:

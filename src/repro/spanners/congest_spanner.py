@@ -175,7 +175,7 @@ class ColumnarBaswanaSenProgram(ColumnarProgram):
         owner = net.slot_owner[s]
         centre = self.known_center[s]
         key = owner * np.int64(self.n) + centre
-        # Shared radix-bucketing primitive: stable key sort keeps each
+        # Shared bucketing primitive: its packed (key, row) sort keeps each
         # group in ascending-slot order, so "earliest at the minimum" is
         # the reference node's scan-order tie-break.
         order, starts, seg_of, g_min_len, g_min_pos = _segmented_argmin(key, self.slot_lengths[s])

@@ -46,7 +46,6 @@ from repro.parallel.distributed import (
     NodeProgram,
 )
 from repro.parallel.metrics import DistributedCost
-from repro.spanners.baswana_sen import _sorted_membership
 from repro.spanners.congest_spanner import ColumnarBaswanaSenProgram, build_schedule
 from repro.utils.rng import RandomState, SeedLike, as_rng, split_rng
 
@@ -63,6 +62,21 @@ __all__ = [
 #: the per-node object simulator, kept as the semantic ground truth the
 #: parity tests compare against.
 DISTRIBUTED_ENGINES = ("columnar", "reference")
+
+
+def _sorted_membership(sorted_keys: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """Membership mask of ``keys`` in the sorted unique array ``sorted_keys``.
+
+    Two binary searches replace the ``np.isin`` sort-per-call: O(|keys|
+    log |sorted_keys|) with no temporary sort of the haystack.
+    """
+    if sorted_keys.size == 0:
+        return np.zeros(keys.shape[0], dtype=bool)
+    pos = np.searchsorted(sorted_keys, keys)
+    inside = pos < sorted_keys.size
+    out = np.zeros(keys.shape[0], dtype=bool)
+    out[inside] = sorted_keys[pos[inside]] == keys[inside]
+    return out
 
 
 def _check_engine(engine: str) -> str:

@@ -19,6 +19,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.graphs import generators as gen
 from repro.graphs.generators import banded_graph
@@ -28,7 +29,7 @@ from repro.spanners._reference import (
     reference_baswana_sen_spanner,
     reference_t_bundle_spanner,
 )
-from repro.spanners.baswana_sen import baswana_sen_spanner
+from repro.spanners.baswana_sen import _segmented_argmin, baswana_sen_spanner
 from repro.spanners.bundle import t_bundle_spanner
 
 GOLDEN_PATH = Path(__file__).resolve().parent / "golden" / "spanner_goldens.json"
@@ -97,6 +98,17 @@ class TestAgainstReference:
         for a, b in zip(fast.component_edge_indices, slow.component_edge_indices):
             assert np.array_equal(a, b)
 
+    @pytest.mark.parametrize("seed", [5, 8])
+    def test_bundle_bit_identical_large_unit_banded(self, seed):
+        # Unit weights make every length tie, so the grouping's tie-break
+        # decides each pick; 1000 vertices exercise many cluster merges.
+        g = banded_graph(1000, 12)
+        fast = t_bundle_spanner(g, t=3, seed=seed)
+        slow = reference_t_bundle_spanner(g, t=3, seed=seed)
+        assert fast.t == slow.t == 3
+        for a, b in zip(fast.component_edge_indices, slow.component_edge_indices):
+            assert np.array_equal(a, b)
+
     def test_bundle_bit_identical_powerlaw_exhaustion(self):
         # Sparse power-law graph: the bundle exhausts it, exercising the
         # early-stop paths of both implementations.
@@ -115,6 +127,68 @@ class TestAgainstReference:
         assert np.array_equal(fast.edge_indices, slow.edge_indices)
         for a, b in zip(fast.component_edge_indices, slow.component_edge_indices):
             assert np.array_equal(a, b)
+
+
+def _argsort_segmented_argmin(keys, values):
+    """``_segmented_argmin`` spelled with a stable argsort and per-group argmin."""
+    order = np.argsort(keys, kind="stable")
+    keys_sorted, values_sorted = keys[order], values[order]
+    starts = np.flatnonzero(np.r_[True, keys_sorted[1:] != keys_sorted[:-1]])
+    ends = np.append(starts[1:], keys.size)
+    seg_of = np.repeat(np.arange(starts.size), ends - starts)
+    minima = np.array([values_sorted[a:b].min() for a, b in zip(starts, ends)])
+    best = np.array([a + np.argmin(values_sorted[a:b]) for a, b in zip(starts, ends)])
+    return order, starts, seg_of, minima, best
+
+
+def _assert_matches_argsort(keys, values):
+    got = _segmented_argmin(keys, values)
+    want = _argsort_segmented_argmin(keys, values)
+    for name, g, w in zip(("order", "starts", "seg_of", "minima", "best"), got, want):
+        assert np.array_equal(g, w), name
+
+
+class TestSegmentedArgmin:
+    """The packed-key grouping equals a stable argsort, ties included."""
+
+    @given(
+        seed=st.integers(min_value=0, max_value=10_000),
+        size=st.integers(min_value=1, max_value=400),
+        key_span=st.sampled_from([1, 3, 40, 10**6]),
+        value_span=st.sampled_from([1, 2, 5]),
+        offset=st.sampled_from([0, -17, -(10**9)]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_random_keys_with_ties(self, seed, size, key_span, value_span, offset):
+        # Few distinct keys and few distinct values: long groups and many
+        # rows tied at each group's minimum.  Negative offsets shift the
+        # keys below zero.
+        rng = np.random.default_rng(seed)
+        keys = rng.integers(0, key_span, size) + np.int64(offset)
+        values = rng.integers(0, value_span, size).astype(float)
+        _assert_matches_argsort(keys, values)
+
+    @pytest.mark.parametrize(
+        "span, overflow", [(2**60 - 1, False), (2**60, True), (2**63 - 1, True)]
+    )
+    def test_overflow_branch_at_the_62_bit_edge(self, monkeypatch, span, overflow):
+        # Four rows need two row bits: a key range of 60 bits still packs,
+        # one more bit takes the stable-argsort branch.
+        calls = []
+        argsort = np.argsort
+
+        def spy(*args, **kwargs):
+            calls.append(1)
+            return argsort(*args, **kwargs)
+
+        monkeypatch.setattr(np, "argsort", spy)
+        low = -(2**62)
+        keys = np.array([low + span, low, low + span, low], dtype=np.int64)
+        values = np.array([2.0, 1.0, 2.0, 1.0])
+        _segmented_argmin(keys, values)
+        monkeypatch.undo()
+        assert bool(calls) == overflow
+        _assert_matches_argsort(keys, values)
 
 
 class TestZeroValidationPeel:
