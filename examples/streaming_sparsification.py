@@ -5,10 +5,12 @@ Run with:  PYTHONPATH=src python examples/streaming_sparsification.py
 Walks the ``repro.streaming`` surface end to end:
 
 1. feed a graph's edges to a :class:`~repro.streaming.StreamingSparsifier`
-   in batches, with every batch journaled to disk *before* ingestion,
+   in batches, with every batch journaled into a durable state store
+   (``store=``) *before* ingestion,
 2. take a pure :meth:`snapshot` and certify it against the exact live
    graph through the blocked solver stack,
-3. simulate a crash and rebuild the stream bit-exactly from the journal,
+3. simulate a crash and rebuild the stream bit-exactly with
+   :meth:`~repro.streaming.StreamingSparsifier.recover`,
 4. show a sliding ``window`` stream forgetting old batches.
 """
 
@@ -47,13 +49,13 @@ def main() -> None:
     config = SparsifierConfig(bundle_t=1, spanner_k=2)
 
     with tempfile.TemporaryDirectory() as tmp:
-        journal = Path(tmp) / "stream.journal"
+        store = Path(tmp) / "stream.store"
         stream = StreamingSparsifier(
             graph.num_vertices,
             config=config,
             seed=7,
             compaction_interval=400,
-            journal=journal,
+            store=store,
         )
         for edges, weights in batches_of(graph, NUM_BATCHES):
             record = stream.ingest(edges, weights)
@@ -74,16 +76,18 @@ def main() -> None:
               f"{cert.resistances.ratio_max:.3f}]")
         print(f"holds(0.8): {cert.holds(0.8)}")
 
-        # Crash simulation: drop the live object, rebuild from the journal.
+        # Crash simulation: drop the live object, recover from the store.
         del stream
-        resumed = StreamingSparsifier.resume(journal, config=config)
+        resumed, report = StreamingSparsifier.recover(store, config=config)
         resumed_snap = resumed.snapshot()
         identical = (
             np.array_equal(resumed_snap.graph.edge_u, snap.graph.edge_u)
             and np.array_equal(resumed_snap.graph.edge_v, snap.graph.edge_v)
             and np.array_equal(resumed_snap.graph.edge_weights, snap.graph.edge_weights)
         )
-        print(f"resumed from journal: snapshot bit-identical = {identical}")
+        print(f"recovered from store ({'bit-exact' if report.bit_exact else 'LOSSY'}, "
+              f"{report.batches_replayed} batches replayed): "
+              f"snapshot bit-identical = {identical}")
 
     # Sliding window: only the last 2 batches stay live; earlier edges
     # (and their exact-reference copies) are evicted on ingest.

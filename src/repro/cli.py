@@ -33,11 +33,12 @@ Subcommands
     snapshot as an edge list.  Each input line is either a JSON object
     ``{"edges": [[u, v], ...], "weights": [...]}`` (weights optional) or
     a bare array of ``[u, v]`` / ``[u, v, w]`` edges; ``-`` reads from
-    stdin.  ``--journal`` makes the stream crash-resumable
-    (``--resume`` picks it back up, replaying journaled batches before
-    ingesting any new input); ``--store`` upgrades the journal to a full
-    durable state store with ``--snapshot-every`` checksummed snapshots,
-    so resume replays only the post-snapshot suffix.
+    stdin.  ``--store DIR`` makes the stream crash-resumable: every batch
+    is journaled before it is processed, and ``--snapshot-every N`` adds
+    checksummed snapshots so a resume replays only the post-snapshot
+    suffix.  ``--resume`` recovers the store through the same ladder as
+    ``recover`` before ingesting any new input; it prints the recovery
+    report and exits 1 when the recovery was lossy.
 ``recover``
     Walk the recovery ladder of a ``--store`` directory after a crash —
     snapshot, journal suffix, valid-prefix salvage — print the
@@ -275,17 +276,16 @@ def build_parser() -> argparse.ArgumentParser:
                         help="k-out presample ingest batches larger than K * n edges")
     stream.add_argument("--levels", type=int, default=None,
                         help="LSM-style retained levels (default 1 = classic single pool)")
-    stream.add_argument("--journal", default=None, metavar="DIR",
-                        help="journal every batch before processing (crash-resumable)")
     stream.add_argument("--store", default=None, metavar="DIR",
-                        help="durable state store (journal + checksummed snapshots); "
-                             "with --resume, recovers via the snapshot/salvage ladder")
+                        help="durable state store: journal every batch before processing "
+                             "(plus snapshots with --snapshot-every); with --resume, "
+                             "recovers via the snapshot/salvage ladder")
     stream.add_argument("--snapshot-every", type=int, default=None, metavar="N",
                         help="with --store: snapshot state every N ingested batches and "
                              "truncate journal segments the snapshots cover")
     stream.add_argument("--resume", action="store_true",
-                        help="resume the stream recorded in --journal or --store "
-                             "before reading input")
+                        help="recover the stream recorded in --store before reading "
+                             "input (exit 1 when the recovery was lossy)")
     stream.add_argument("--certify-resistances", type=int, default=None, metavar="PAIRS",
                         help="certify the snapshot against the exact live graph over "
                              "PAIRS probe pairs via the blocked multi-RHS solver")
@@ -468,22 +468,17 @@ def _run_stream(args: argparse.Namespace) -> int:
     from repro.streaming import StreamingSparsifier
 
     config = SparsifierConfig(solver=args.solver) if args.solver else None
-    if args.journal and args.store:
-        raise ReproError("pass either --journal or --store, not both")
     if args.snapshot_every is not None and not args.store:
         raise ReproError("--snapshot-every requires --store")
+    lossless = True
     if args.resume:
-        if args.store:
-            stream, report = StreamingSparsifier.recover(
-                args.store, config=config, snapshot_every=args.snapshot_every
-            )
-            print(report.summary())
-        elif args.journal:
-            stream = StreamingSparsifier.resume(args.journal, config=config)
-        else:
-            raise ReproError(
-                "--resume needs --journal or --store pointing at the stream's state"
-            )
+        if not args.store:
+            raise ReproError("--resume needs --store pointing at the stream's state")
+        stream, report = StreamingSparsifier.recover(
+            args.store, config=config, snapshot_every=args.snapshot_every
+        )
+        print(report.summary())
+        lossless = report.bit_exact
         print(f"resumed: {stream.batches_ingested} batches, "
               f"{stream.edges_ingested} edges, {stream.compactions} compactions")
     else:
@@ -501,7 +496,6 @@ def _run_stream(args: argparse.Namespace) -> int:
             compaction_interval=args.compaction_interval,
             kout_presample=args.kout_presample,
             levels=args.levels,
-            journal=args.journal,
             store=args.store,
             snapshot_every=args.snapshot_every,
         )
@@ -550,7 +544,9 @@ def _run_stream(args: argparse.Namespace) -> int:
         spectral = certificate.report.certificate
         print(f"spectral certificate: {spectral.lower:.4f} * G <= H <= "
               f"{spectral.upper:.4f} * G")
-    return 0
+    # Like ``recover``: a resume from a lossy recovery still writes its
+    # output, but scripts get a failure signal.
+    return 0 if lossless else 1
 
 
 def _run_recover(args: argparse.Namespace) -> int:

@@ -163,7 +163,8 @@ def sparsify_many(
         Path to a JSON-lines journal (:class:`repro.core.checkpoint.BatchJournal`).
         Completed jobs are appended as the batch progresses; re-running
         the same batch with the same path skips them (validated by graph
-        digest, so a journal from a different batch is refused).
+        digest, so a journal from a different batch is refused, and by
+        result digest, so a corrupted stored sparsifier is refused).
     checkpoint_io:
         :class:`~repro.core.checkpoint.DurableIO` the journal writes
         through (default: the real fsync'd filesystem).  The crash

@@ -1,25 +1,32 @@
-"""Checkpoint journal for batch sparsification fan-outs.
+"""The durable record path: ``DurableIO``, the JSON-lines reader, the batch checkpoint.
 
-A long ``sparsify_many`` batch that dies at job 900 of 1000 should not
-re-pay the first 900 jobs on the next run.  :class:`BatchJournal` is the
-persistence layer behind ``sparsify_many(checkpoint=...)``:
+Both persistence tiers — the ``sparsify_many(checkpoint=...)`` batch
+checkpoint (:class:`BatchJournal`) and the streaming tier's segmented
+journal (:class:`repro.streaming.journal.StreamJournal`) — write through
+one seam and read through one parser:
 
-* **Append-only JSON lines.**  The journal is one JSON object per line —
-  a header line describing the batch followed by one line per completed
-  job.  Appends are atomic enough for this purpose (a crash mid-write
-  corrupts at most the trailing line, which is detected and dropped on
-  load); the header is validated so a journal from a different batch
-  shape is refused instead of silently merged.
-* **Content-addressed jobs.**  Each job line carries a digest of its
-  input graph (vertex count + exact edge arrays).  On resume the digest
-  is recomputed from the submitted graph; a mismatch at the same index
-  means the caller is replaying a *different* batch against an old
-  journal, which raises :class:`~repro.exceptions.CheckpointError` rather
-  than returning another graph's sparsifier.
-* **Bit-exact round-trip.**  Edge weights and cost scalars survive the
-  JSON round-trip exactly (Python serializes floats with shortest
-  round-trip repr), so a resumed batch's results are bit-identical to the
-  run that wrote the journal.
+* **One write seam.**  Every filesystem mutation goes through
+  :class:`DurableIO` (fsync'd appends, atomic renames, directory fsyncs,
+  truncation), which is where the crash harness
+  (:class:`repro.testing.faults.CrashPointIO`) kills or tears writes.
+* **One record reader.**  :func:`parse_journal` parses a JSON-lines file
+  byte-exactly and classifies its tail as ``clean``, ``torn`` (a crash
+  mid-append: droppable) or ``interior`` (real corruption).  Before its
+  first append a writer cuts a torn tail off through
+  :meth:`DurableIO.truncate`, so a new line never merges into the
+  fragment.
+* **One digest rule.**  Every stored edge set carries an
+  :func:`edge_array_digest` that is recomputed on load; a mismatch raises
+  :class:`~repro.exceptions.CheckpointError` instead of returning a
+  corrupted result.
+
+:class:`BatchJournal` is one file: a header line pinning the batch shape
+(job count, shared ``epsilon`` / ``rho``) and one line per completed job.
+Each job line carries a digest of its input graph — a mismatch at the
+same index means a *different* batch is being replayed against an old
+journal — and a digest of its stored sparsifier.  Edge weights and cost
+scalars survive the JSON round-trip exactly (shortest round-trip float
+repr), so a resumed batch is bit-identical to the run that wrote it.
 """
 
 from __future__ import annotations
@@ -29,7 +36,7 @@ import json
 import os
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Union
+from typing import Any, Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -45,10 +52,10 @@ __all__ = [
     "batch_graph_digest",
     "edge_array_digest",
     "fsync_directory",
-    "read_journal_records",
+    "parse_journal",
 ]
 
-_JOURNAL_VERSION = 1
+_JOURNAL_VERSION = 2
 
 
 def fsync_directory(path: Union[str, Path]) -> None:
@@ -139,9 +146,9 @@ def edge_array_digest(
 ) -> str:
     """Content hash of exact edge arrays (stable across processes).
 
-    Shared by the batch journal (whole-graph digests) and the streaming
-    journal (per-batch digests), so the two persistence layers cannot
-    drift in what "the same edges" means.
+    Shared by the batch journal (input-graph and stored-result digests)
+    and the streaming journal (per-batch digests), so the two persistence
+    layers cannot drift in what "the same edges" means.
     """
     digest = hashlib.blake2b(digest_size=16)
     digest.update(np.int64(num_vertices).tobytes())
@@ -158,34 +165,37 @@ def batch_graph_digest(graph: Graph) -> str:
     )
 
 
-def read_journal_records(path: Path) -> List[Dict[str, Any]]:
-    """Parse a JSON-lines journal, dropping a torn trailing line.
+def parse_journal(path: Path) -> Tuple[List[Dict[str, Any]], int, str]:
+    """Parse a JSON-lines journal file: ``(records, valid_end_offset, status)``.
 
-    A crash mid-append corrupts at most the final line, which is detected
-    and silently dropped; corruption anywhere *before* the final line
-    means the file is not an append-only journal of ours and raises
-    :class:`CheckpointError`.  Missing or empty file returns ``[]``.
+    The one record reader of the durability layer, shared by the batch
+    checkpoint and the stream journal's segments.  ``valid_end_offset``
+    is the byte offset just past the last complete, JSON-decodable,
+    newline-terminated line.  ``status`` is ``"clean"`` (every byte
+    parsed), ``"torn"`` (the *final* line is undecodable or unterminated
+    — the signature of a crash mid-append, droppable; writers cut the
+    file back to ``valid_end_offset`` before appending again), or
+    ``"interior"`` (an undecodable line with valid data after it — not a
+    torn append but real corruption).
     """
-    if not path.exists():
-        return []
-    try:
-        lines = path.read_text().splitlines()
-    except OSError as exc:
-        raise CheckpointError(f"cannot read checkpoint journal {path}: {exc}") from exc
+    data = path.read_bytes()
     records: List[Dict[str, Any]] = []
-    for line_number, line in enumerate(lines):
-        if not line.strip():
-            continue
-        try:
-            records.append(json.loads(line))
-        except json.JSONDecodeError as exc:
-            if line_number == len(lines) - 1:
-                break  # torn trailing append from a crash: drop it
-            raise CheckpointError(
-                f"checkpoint journal {path} is corrupt at line "
-                f"{line_number + 1}: {exc}"
-            ) from exc
-    return records
+    offset = 0
+    while offset < len(data):
+        newline = data.find(b"\n", offset)
+        if newline < 0:
+            # Unterminated tail (even if it happens to decode): the
+            # append never completed, so its record was never committed.
+            return records, offset, "torn"
+        line = data[offset:newline]
+        if line.strip():
+            try:
+                records.append(json.loads(line))
+            except ValueError:  # JSONDecodeError, or bytes that are not UTF-8
+                is_final_line = newline == len(data) - 1
+                return records, offset, "torn" if is_final_line else "interior"
+        offset = newline + 1
+    return records, offset, "clean"
 
 
 def _serialize_result(result: SparsifyResult) -> Dict[str, Any]:
@@ -207,16 +217,20 @@ def _serialize_result(result: SparsifyResult) -> Dict[str, Any]:
     }
 
 
-def _deserialize_result(payload: Dict[str, Any]) -> SparsifyResult:
+def _deserialize_result(payload: Dict[str, Any], digest: Any, where: str) -> SparsifyResult:
+    """Rebuild a stored result, refusing a sparsifier that fails its digest."""
     sparsifier_data = payload["sparsifier"]
-    sparsifier = Graph(
-        sparsifier_data["num_vertices"],
-        np.asarray(sparsifier_data["edge_u"], dtype=np.int64),
-        np.asarray(sparsifier_data["edge_v"], dtype=np.int64),
-        np.asarray(sparsifier_data["edge_weights"], dtype=np.float64),
-    )
+    num_vertices = int(sparsifier_data["num_vertices"])
+    u = np.asarray(sparsifier_data["edge_u"], dtype=np.int64)
+    v = np.asarray(sparsifier_data["edge_v"], dtype=np.int64)
+    w = np.asarray(sparsifier_data["edge_weights"], dtype=np.float64)
+    if digest != edge_array_digest(num_vertices, u, v, w):
+        raise CheckpointError(
+            f"{where} does not match its recorded digest — refusing to resume "
+            "a corrupted sparsifier"
+        )
     return SparsifyResult(
-        sparsifier=sparsifier,
+        sparsifier=Graph(num_vertices, u, v, w),
         rounds=[RoundRecord(**record) for record in payload["rounds"]],
         epsilon=payload["epsilon"],
         rho=payload["rho"],
@@ -240,9 +254,10 @@ class BatchJournal:
 
     One journal belongs to one logical batch: the header pins the batch
     shape (job count and shared ``epsilon`` / ``rho``), and each recorded
-    job pins its input graph by digest.  ``load_completed`` returns the
-    jobs that can be skipped on resume; ``record`` appends a newly
-    finished one.
+    job pins its input graph and its stored sparsifier by digest.
+    ``load_completed`` returns the jobs that can be skipped on resume;
+    ``record`` appends a newly finished one, first cutting off a torn
+    tail a crash mid-append left behind.
     """
 
     def __init__(
@@ -261,18 +276,38 @@ class BatchJournal:
             rho=float(rho),
             num_jobs=int(num_jobs),
         )
+        # Byte length of the file's committed prefix (0 = no header yet);
+        # None until the file has been read.
+        self._valid_end: Optional[int] = None
+
+    def _read(self) -> List[Dict[str, Any]]:
+        """Parse the journal, remembering where its committed prefix ends."""
+        if not self.path.exists():
+            self._valid_end = 0
+            return []
+        try:
+            records, valid_end, status = parse_journal(self.path)
+        except OSError as exc:
+            raise CheckpointError(f"cannot read checkpoint journal {self.path}: {exc}") from exc
+        if status == "interior":
+            raise CheckpointError(
+                f"checkpoint journal {self.path} is corrupt at byte {valid_end} "
+                "(not a torn trailing append)"
+            )
+        self._valid_end = valid_end if records else 0
+        return records
 
     def load_completed(self, graphs: List[Graph]) -> Dict[int, SparsifyResult]:
         """Read the journal and return ``{job index: result}`` for resumable jobs.
 
         Missing file → empty dict (fresh batch).  A header that does not
-        match this batch's shape, or a job line whose graph digest does
-        not match the graph now submitted at that index, raises
-        :class:`CheckpointError` — the journal belongs to a different
-        batch and silently reusing it would return wrong sparsifiers.
-        A truncated trailing line (crash mid-append) is dropped.
+        match this batch's shape, a job line whose graph digest does not
+        match the graph now submitted at that index, or a stored result
+        that fails its own digest raises :class:`CheckpointError` —
+        silently reusing such a journal would return wrong sparsifiers.
+        A torn trailing line (crash mid-append) is dropped.
         """
-        records = read_journal_records(self.path)
+        records = self._read()
         if not records:
             return {}
         header = records[0]
@@ -296,20 +331,28 @@ class BatchJournal:
         for record in records[1:]:
             if record.get("kind") != "job":
                 continue
-            index = int(record["index"])
-            if not 0 <= index < len(graphs):
-                raise CheckpointError(
-                    f"checkpoint journal {self.path} records job {index} but the "
-                    f"batch has {len(graphs)} jobs"
+            try:
+                index = int(record["index"])
+                if not 0 <= index < len(graphs):
+                    raise CheckpointError(
+                        f"checkpoint journal {self.path} records job {index} but the "
+                        f"batch has {len(graphs)} jobs"
+                    )
+                if record["graph_digest"] != batch_graph_digest(graphs[index]):
+                    raise CheckpointError(
+                        f"checkpoint journal {self.path}: graph at job {index} does "
+                        "not match the recorded digest — the journal belongs to a "
+                        "different batch (delete it or pass a fresh checkpoint path)"
+                    )
+                completed[index] = _deserialize_result(
+                    record["result"],
+                    record["result_digest"],
+                    f"checkpoint journal {self.path}: stored result of job {index}",
                 )
-            digest = batch_graph_digest(graphs[index])
-            if record.get("graph_digest") != digest:
+            except (KeyError, TypeError, ValueError) as exc:
                 raise CheckpointError(
-                    f"checkpoint journal {self.path}: graph at job {index} does not "
-                    "match the recorded digest — the journal belongs to a different "
-                    "batch (delete it or pass a fresh checkpoint path)"
-                )
-            completed[index] = _deserialize_result(record["result"])
+                    f"checkpoint journal {self.path} holds a malformed job record: {exc!r}"
+                ) from exc
         return completed
 
     def record(self, index: int, graph: Graph, result: SparsifyResult) -> None:
@@ -319,19 +362,27 @@ class BatchJournal:
                 "kind": "job",
                 "index": int(index),
                 "graph_digest": batch_graph_digest(graph),
+                "result_digest": batch_graph_digest(result.sparsifier),
                 "result": _serialize_result(result),
             }
-        )
-        new_file = not self.path.exists() or self.path.stat().st_size == 0
-        # Both appends route through the DurableIO seam so the crash
-        # harness can kill or tear each one.  A crash between them leaves
-        # a header-only journal, which load_completed reads as an empty
-        # (but valid) batch.
+        ) + "\n"
+        if self._valid_end is None:
+            self._read()
+        valid_end = int(self._valid_end or 0)
+        if self.path.exists() and self.path.stat().st_size != valid_end:
+            # Cut a torn tail (or torn header) off first: appending after
+            # the fragment would merge into it and corrupt the file mid-way.
+            self._io.truncate(self.path, valid_end)
+        new_file = valid_end == 0
+        # Every append routes through the DurableIO seam so the crash
+        # harness can kill or tear each one.  A crash between the header
+        # and the job leaves a header-only journal: an empty, valid batch.
         if new_file:
-            self._io.append_line(
-                self.path, json.dumps({"kind": "header", **vars(self._header)}) + "\n"
-            )
-        self._io.append_line(self.path, line + "\n")
+            header = json.dumps({"kind": "header", **vars(self._header)}) + "\n"
+            self._io.append_line(self.path, header)
+            valid_end += len(header)
+        self._io.append_line(self.path, line)
+        self._valid_end = valid_end + len(line)
         if new_file:
             # The file's bytes are durable, but its *directory entry* is
             # not until the parent is fsync'd — without this, a crash

@@ -1,11 +1,14 @@
-"""Persistence for edge streams: the segmented batch-ingest journal.
+"""The stream tier's durable record: a segmented batch-ingest journal.
 
 A stream that dies mid-ingest should resume *bit-exactly*: the
 :class:`~repro.streaming.sparsifier.StreamingSparsifier` is deterministic
 given its construction parameters and the exact batch sequence, so it is
 enough to persist those two things.  :class:`StreamJournal` does exactly
-that, sharing machinery with the batch checkpoint journal
-(:mod:`repro.core.checkpoint`):
+that under a :class:`~repro.streaming.store.StreamStateStore` (the one
+durable stream mode, ``store=`` — with or without snapshots), writing
+through :class:`~repro.core.checkpoint.DurableIO` and reading through
+the shared :func:`~repro.core.checkpoint.parse_journal`, the same seam
+and record reader as the batch checkpoint:
 
 * **A directory of sealed segments** — the journal is a directory of
   size-bounded JSON-lines segment files (``segment-00000000.jsonl`` …).
@@ -21,7 +24,7 @@ that, sharing machinery with the batch checkpoint journal
 * **Bounded resume** — :meth:`iter_batches` streams batches back one
   segment at a time (memory bounded by one segment, not the journal),
   and a ``start_batch`` skips whole pre-snapshot segments by header so a
-  snapshot-backed resume replays only the suffix.  After a snapshot,
+  snapshot-backed recovery replays only the suffix.  After a snapshot,
   :meth:`truncate_before` deletes segments that are wholly covered.
 * **Salvage, not all-or-nothing** — strict readers raise
   :class:`~repro.exceptions.CheckpointError` at the first invalid record;
@@ -29,7 +32,8 @@ that, sharing machinery with the batch checkpoint journal
   was replayed, what was lost and where the corruption sits in a
   :class:`JournalScanReport`, which is what the recovery ladder in
   :mod:`repro.streaming.store` builds its
-  :class:`~repro.streaming.store.RecoveryReport` from.
+  :class:`~repro.streaming.store.RecoveryReport` from.  Segment
+  contiguity and salvage are stream-specific and live here.
 * **Bit-exact round-trip** — weights survive JSON exactly (shortest
   round-trip float repr), and replaying the journaled batches through a
   fresh sparsifier reproduces the crashed stream's state bit for bit.
@@ -44,7 +48,7 @@ from typing import Any, Dict, Iterator, List, Optional, Tuple, Union
 
 import numpy as np
 
-from repro.core.checkpoint import DEFAULT_IO, DurableIO, edge_array_digest
+from repro.core.checkpoint import DEFAULT_IO, DurableIO, edge_array_digest, parse_journal
 from repro.exceptions import CheckpointError
 
 __all__ = [
@@ -171,36 +175,6 @@ def _segment_files(path: Path) -> List[Path]:
     )
 
 
-def _parse_segment(path: Path) -> Tuple[List[Dict[str, Any]], int, str]:
-    """Parse one segment's lines: ``(records, valid_end_offset, status)``.
-
-    ``valid_end_offset`` is the byte offset just past the last complete,
-    JSON-decodable, newline-terminated line.  ``status`` is ``"clean"``
-    (every byte parsed), ``"torn"`` (the *final* line is undecodable or
-    unterminated — the signature of a crash mid-append, droppable), or
-    ``"interior"`` (an undecodable line with valid data after it — that
-    is not a torn append but real corruption).
-    """
-    data = path.read_bytes()
-    records: List[Dict[str, Any]] = []
-    offset = 0
-    while offset < len(data):
-        newline = data.find(b"\n", offset)
-        if newline < 0:
-            # Unterminated tail (even if it happens to decode): the
-            # append never completed, so the batch was never processed.
-            return records, offset, "torn"
-        line = data[offset:newline]
-        if line.strip():
-            try:
-                records.append(json.loads(line))
-            except json.JSONDecodeError:
-                is_final_line = newline == len(data) - 1
-                return records, offset, "torn" if is_final_line else "interior"
-        offset = newline + 1
-    return records, offset, "clean"
-
-
 def _validate_header(record: Dict[str, Any], path: Path) -> Dict[str, Any]:
     if record.get("kind") != "header":
         raise CheckpointError(
@@ -228,16 +202,21 @@ def _validate_header(record: Dict[str, Any], path: Path) -> Dict[str, Any]:
 def _batch_from_record(
     record: Dict[str, Any], num_vertices: int, expected_index: int, path: Path
 ) -> Batch:
-    index = int(record["index"])
+    try:
+        index = int(record["index"])
+        u = np.asarray(record["u"], dtype=np.int64)
+        v = np.asarray(record["v"], dtype=np.int64)
+        w = np.asarray(record["w"], dtype=np.float64)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise CheckpointError(
+            f"stream journal segment {path} holds a malformed batch record: {exc!r}"
+        ) from exc
     if index != expected_index:
         raise CheckpointError(
             f"stream journal segment {path} records batch {index} where batch "
             f"{expected_index} was expected — the journal is not an "
             "uninterrupted prefix of one stream"
         )
-    u = np.asarray(record["u"], dtype=np.int64)
-    v = np.asarray(record["v"], dtype=np.int64)
-    w = np.asarray(record["w"], dtype=np.float64)
     if record.get("digest") != edge_array_digest(num_vertices, u, v, w):
         raise CheckpointError(
             f"stream journal segment {path}: batch {index} does not match its "
@@ -274,8 +253,7 @@ class StreamJournal:
         if self.has_content(self.path):
             raise CheckpointError(
                 f"stream journal {self.path} already has content; use "
-                "StreamingSparsifier.resume()/recover() to continue it or "
-                "pass a fresh path"
+                "StreamingSparsifier.recover() to continue it or pass a fresh path"
             )
         # Append cursor.  ``start_index`` > 0 starts a fresh journal midway
         # through a stream (recovery after total journal loss with a valid
@@ -327,7 +305,7 @@ class StreamJournal:
         for stray in _segment_files(path):
             if stray.name > last.path.name:
                 journal._io.remove(stray)
-        records, valid_end, status = _parse_segment(last.path)
+        records, valid_end, status = parse_journal(last.path)
         if status == "interior":
             raise CheckpointError(
                 f"stream journal segment {last.path} is corrupt mid-journal; "
@@ -564,7 +542,7 @@ class StreamJournal:
                     "are missing"
                 )
             else:
-                records, _, status = _parse_segment(info.path)
+                records, _, status = parse_journal(info.path)
                 report.segments_replayed += 1
                 for record in records[1:]:  # records[0] is the header
                     if record.get("kind") != "batch":
@@ -611,29 +589,16 @@ class StreamJournal:
                 report.batches_replayed += 1
                 yield batch
 
-    @staticmethod
-    def load(path: Union[str, Path]) -> Tuple[Dict[str, Any], Iterator[Batch]]:
-        """Read a journal back as ``(params, batch iterator)``.
 
-        The iterator streams one segment at a time (resume memory is
-        bounded by one segment, not the journal), validates every batch
-        digest and index, drops a torn trailing append, and raises
-        :class:`CheckpointError` on anything else.
-        """
-        path = Path(path)
-        if not StreamJournal.has_content(path):
-            raise CheckpointError(f"stream journal {path} is missing or empty")
-        params = StreamJournal.read_params(path)
-        return params, StreamJournal.iter_batches(path)
+def _count_batch_records(path: Path) -> int:
+    """Best-effort count of batch records in one segment (0 if unreadable)."""
+    try:
+        records, _, _ = parse_journal(path)
+    except OSError:
+        return 0
+    return sum(1 for record in records if record.get("kind") == "batch")
 
 
 def _count_remaining_batches(infos: List[SegmentInfo]) -> int:
     """Best-effort count of batch records in segments behind a corruption."""
-    count = 0
-    for info in infos:
-        try:
-            records, _, _ = _parse_segment(info.path)
-        except OSError:
-            continue
-        count += sum(1 for r in records if r.get("kind") == "batch")
-    return count
+    return sum(_count_batch_records(info.path) for info in infos)

@@ -39,19 +39,21 @@ Design
   reference alike); ``decay=gamma`` scales an edge arriving in batch
   ``a`` by ``gamma^(b - a)`` at current batch ``b`` (applied lazily, so
   resume replay is bit-exact).
-* **Resilient ingestion.**  Each batch is journaled *before* it is
-  processed (:class:`~repro.streaming.journal.StreamJournal`), so a
-  crashed stream resumes losing at most the one batch whose append was
-  torn; compaction work runs through the configured execution backend
-  under an optional :class:`~repro.parallel.failure.FailurePolicy`, and
-  retries are output-neutral because every compaction rebuilds its RNG
-  from ``(seed, index)`` on each attempt.
+* **Resilient ingestion.**  With ``store=`` each batch is journaled
+  *before* it is processed (:class:`~repro.streaming.journal.StreamJournal`
+  under a :class:`~repro.streaming.store.StreamStateStore`), so a crashed
+  stream recovers (:meth:`StreamingSparsifier.recover`) losing at most
+  the one batch whose append was torn; compaction work runs through the
+  configured execution backend under an optional
+  :class:`~repro.parallel.failure.FailurePolicy`, and retries are
+  output-neutral because every compaction rebuilds its RNG from
+  ``(seed, index)`` on each attempt.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple, Union
 
@@ -316,10 +318,13 @@ class StreamingSparsifier:
         num_vertices`` edges are first reduced by a random k-out sample
         with Horvitz–Thompson reweighting
         (:mod:`repro.graphs.kout`) — the ultra-cheap dense-burst guard.
-    journal:
-        Path to a :class:`~repro.streaming.journal.StreamJournal`; every
-        batch is appended *before* processing, so a crash loses at most
-        one batch.  Use :meth:`resume` to pick a journal back up.
+    store:
+        Directory of a :class:`~repro.streaming.store.StreamStateStore`.
+        Every batch is journaled *before* processing, so a crash loses at
+        most one batch; ``snapshot_every=N`` adds a checksummed snapshot
+        every ``N`` batches, bounding recovery replay to the suffix
+        (without it the store holds the journal alone).  Use
+        :meth:`recover` to pick a store back up.
     failure_policy:
         :class:`~repro.parallel.failure.FailurePolicy` governing the
         compaction work (``raise`` / ``retry``; ``collect`` is rejected —
@@ -346,7 +351,6 @@ class StreamingSparsifier:
         kout_presample: Optional[int] = None,
         levels: Optional[int] = None,
         level_capacity: Optional[int] = None,
-        journal: Optional[Union[str, Path]] = None,
         store: Optional[Union[str, Path]] = None,
         snapshot_every: Optional[int] = None,
         segment_bytes: int = DEFAULT_SEGMENT_BYTES,
@@ -443,11 +447,6 @@ class StreamingSparsifier:
         self.records: List[CompactionRecord] = []
         self._replaying = False
 
-        if journal is not None and store is not None:
-            raise StreamingError(
-                "pass either journal= (journal only) or store= (journal + "
-                "snapshots), not both"
-            )
         if snapshot_every is not None and store is None:
             raise StreamingError("snapshot_every requires store=")
         if snapshot_every is not None and int(snapshot_every) < 1:
@@ -471,13 +470,6 @@ class StreamingSparsifier:
                 io=io,
             )
             self._journal = self._store.create_journal(self._journal_params())
-        elif journal is not None:
-            self._journal = StreamJournal(
-                journal,
-                self._journal_params(),
-                segment_bytes=segment_bytes,
-                io=io,
-            )
 
     # ------------------------------------------------------------------ #
     # Construction helpers
@@ -520,40 +512,6 @@ class StreamingSparsifier:
             "levels": self._max_levels,
             "level_capacity": self._level_capacity,
         }
-
-    @classmethod
-    def resume(
-        cls,
-        journal: Union[str, Path],
-        *,
-        config: Optional[SparsifierConfig] = None,
-        failure_policy: Optional[FailurePolicy] = None,
-        track_exact: bool = True,
-    ) -> "StreamingSparsifier":
-        """Rebuild a crashed stream from its journal, bit-exactly.
-
-        Reads the journal header (which pins every parameter the state
-        depends on), replays the journaled batches through a fresh
-        sparsifier, and re-attaches the journal so subsequent ``ingest``
-        calls continue appending to it.  ``config`` only supplies
-        *execution* knobs (backend, workers, default solver); the
-        algorithmic parameters come from the header.
-        """
-        params, batches = StreamJournal.load(journal)
-        stream = cls.from_stream_params(
-            params,
-            config=config,
-            failure_policy=failure_policy,
-            track_exact=track_exact,
-        )
-        stream._replaying = True
-        try:
-            for _, u, v, w in batches:
-                stream.ingest(np.column_stack([u, v]), w)
-        finally:
-            stream._replaying = False
-        stream._journal = StreamJournal.attach(journal)
-        return stream
 
     @classmethod
     def from_stream_params(
@@ -755,10 +713,7 @@ class StreamingSparsifier:
         the recent suffix.
         """
         if self._store is None:
-            raise StreamingError(
-                "checkpoint() requires the stream to be built with store=; "
-                "journal-only streams have nothing to snapshot into"
-            )
+            raise StreamingError("checkpoint() requires the stream to be built with store=")
         return self._store.checkpoint(self)
 
     # ------------------------------------------------------------------ #

@@ -10,10 +10,11 @@ The sparsifier journals every batch before processing it; on a
 configurable cadence it writes a snapshot of its full state and the
 store deletes journal segments wholly covered by the *oldest retained*
 snapshot — bounding resume replay to the recent suffix while keeping a
-fallback snapshot whose journal suffix is still intact.
+fallback snapshot whose journal suffix is still intact.  Without a
+cadence the store holds the journal alone and recovery replays it whole.
 
-Recovery (:meth:`StreamStateStore.recover`) walks a ladder instead of
-PR 8's all-or-nothing load:
+Recovery (:meth:`StreamStateStore.recover`, the only way to resume a
+stream) walks a ladder instead of an all-or-nothing load:
 
 1. **Snapshot** — newest valid snapshot restores the sampler state;
    invalid ones (torn, bit-flipped, truncated) are quarantined and the
@@ -46,7 +47,7 @@ from repro.streaming.journal import (
     DEFAULT_SEGMENT_BYTES,
     JournalScanReport,
     StreamJournal,
-    _parse_segment,
+    _count_batch_records,
     _QUARANTINE_SUFFIX,
     _segment_files,
     _validate_header,
@@ -123,14 +124,6 @@ def _quarantine(io: DurableIO, path: Path) -> Path:
         counter += 1
     io.replace(path, target)
     return target
-
-
-def _count_batch_records(path: Path) -> int:
-    try:
-        records, _, _ = _parse_segment(path)
-    except OSError:
-        return 0
-    return sum(1 for record in records if record.get("kind") == "batch")
 
 
 def _quarantine_unscannable(

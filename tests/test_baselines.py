@@ -147,13 +147,6 @@ class TestUnifiedResultAccessors:
             assert result.num_edges == result.sparsifier.num_edges
             assert result.reduction_factor >= 1.0
 
-    def test_deprecated_distinct_edges_shims(self, small_er_graph):
-        ss = spielman_srivastava_sparsify(small_er_graph, epsilon=0.5, seed=1)
-        kp = kapralov_panigrahi_sparsify(small_er_graph, epsilon=0.5, seed=1)
-        for result in (ss, kp):
-            with pytest.warns(DeprecationWarning, match="distinct_edges"):
-                assert result.distinct_edges == result.output_edges
-
 
 class TestKapralovPanigrahi:
     def test_quality_reasonable(self):

@@ -1,23 +1,28 @@
-"""Crash-consistency torture tests for the durable streaming state store.
+"""Crash-consistency torture tests for the durable record path.
 
-The contract under test (``repro/streaming/store.py`` + the harness in
-``repro/testing/faults.py``):
+The contract under test (``repro/streaming/store.py``,
+``repro/core/checkpoint.py`` + the harness in ``repro/testing/faults.py``):
 
-* **Kill-point sweep** — for *every* filesystem mutation the store ever
-  issues (journal appends, segment rotations, snapshot blob/manifest
-  writes, renames, prunes, truncations, directory fsyncs), killing the
-  process at exactly that point leaves a store from which ``recover()``
-  rebuilds a state bit-identical to a clean run over the surviving batch
-  prefix — or reports the loss explicitly.  Zero silent divergence, in
-  all three crash modes (clean kill, torn write, bit-flipped write).
+* **Kill-point sweep** — for *every* filesystem mutation the stream
+  store ever issues (journal appends, segment rotations, snapshot
+  blob/manifest writes, renames, prunes, truncations, directory fsyncs),
+  killing the process at exactly that point leaves a store from which
+  ``recover()`` rebuilds a state bit-identical to a clean run over the
+  surviving batch prefix — or reports the loss explicitly.  Zero silent
+  divergence, in all three crash modes (clean kill, torn write,
+  bit-flipped write).  The same sweep kills the batch checkpoint of
+  ``sparsify_many`` at every write point: resuming the wreck (twice)
+  reproduces the clean batch bit for bit, or refuses a flipped record.
 * **Torn-write fuzz** — truncating a journal at *every byte offset*
-  yields either a bit-exact prefix replay or a clean refusal, for both
-  the stream journal and the batch checkpoint journal.
+  yields either a bit-exact prefix replay or a clean refusal for the
+  stream journal, and a resumable prefix (appends included) for the
+  batch checkpoint.
 * **Media corruption** — a flipped bit mid-journal is never silently
   replayed: strict readers refuse, the recovery ladder quarantines and
   accounts for the loss; a flipped bit in the newest snapshot makes the
   ladder fall back to the previous snapshot (whose journal suffix the
-  store deliberately retained).
+  store deliberately retained); a flipped bit in a stored batch result
+  fails its digest.
 * **Bounded resume** — after a snapshot, recovery replays only the
   post-snapshot journal suffix, proven through the scan's read
   accounting, not timing.
@@ -107,6 +112,37 @@ def clean_references(torture_batches, torture_graph):
     return refs
 
 
+@pytest.fixture(scope="module")
+def batch_graphs():
+    return [
+        gen.erdos_renyi_graph(12, 0.4, seed=20 + i, ensure_connected=True)
+        for i in range(3)
+    ]
+
+
+def run_batch(graphs, path, io=None):
+    return sparsify_many(graphs, epsilon=0.5, seed=7, checkpoint=path, checkpoint_io=io)
+
+
+def result_fingerprint(result):
+    """Every field a resumed batch job must reproduce bit for bit."""
+    g = result.sparsifier
+    return (
+        g.num_vertices,
+        g.edge_u.tolist(),
+        g.edge_v.tolist(),
+        g.edge_weights.tolist(),
+        [vars(record) for record in result.rounds],
+        result.epsilon,
+        result.rho,
+        result.input_edges,
+        result.output_edges,
+        result.cost.work,
+        result.cost.depth,
+        result.stopped_early,
+    )
+
+
 # --------------------------------------------------------------------- #
 # The tentpole guarantee: the kill-point sweep
 # --------------------------------------------------------------------- #
@@ -158,6 +194,38 @@ class TestKillPointSweep:
         points = kill_point_sweep(workload, verify, mode=mode)
         assert points > 20  # the workload really has many write points
 
+    @pytest.mark.parametrize("mode", ["clean", "torn", "flip"])
+    def test_batch_checkpoint_resumes_from_every_crash_point(
+        self, mode, batch_graphs, tmp_path
+    ):
+        clean = [
+            result_fingerprint(r)
+            for r in run_batch(batch_graphs, tmp_path / "clean.jsonl").results
+        ]
+        journals = iter(range(10**6))
+        current = {}
+
+        def workload(io: CrashPointIO):
+            current["path"] = tmp_path / f"batch-{mode}-{next(journals)}.jsonl"
+            run_batch(batch_graphs, current["path"], io=io)
+
+        def verify(point: int) -> None:
+            # The first resume appends the jobs the crash lost; the second
+            # must read the repaired journal back whole.
+            for _ in range(2):
+                try:
+                    resumed = run_batch(batch_graphs, current["path"])
+                except CheckpointError:
+                    # Only media corruption may be refused — never a
+                    # torn append or a clean kill.
+                    assert mode == "flip", f"kill point {point} unresumable"
+                    return
+                assert [result_fingerprint(r) for r in resumed.results] == clean
+            assert resumed.resumed_jobs == len(batch_graphs)
+
+        points = kill_point_sweep(workload, verify, mode=mode)
+        assert points >= 5  # header, three jobs, directory fsync
+
     def test_empty_store_refuses_recovery(self, tmp_path):
         with pytest.raises(CheckpointError, match="nothing to recover"):
             StreamStateStore.recover(tmp_path / "void")
@@ -170,9 +238,10 @@ class TestKillPointSweep:
 
 class TestTornWriteFuzz:
     def test_stream_journal_truncated_at_every_offset(self, tmp_path):
-        journal_dir = tmp_path / "journal"
+        store = tmp_path / "store"
+        journal_dir = store / "journal"
         stream = StreamingSparsifier(
-            12, seed=0, compaction_interval=10**6, journal=journal_dir
+            12, seed=0, compaction_interval=10**6, store=store
         )
         rng = np.random.default_rng(1)
         reference = []
@@ -182,8 +251,7 @@ class TestTornWriteFuzz:
             weights = rng.uniform(0.5, 2.0, size=4).round(3)
             stream.ingest(edges, weights)
             reference.append(index)
-        _, replayed = StreamJournal.load(journal_dir)
-        full = list(replayed)
+        full = list(StreamJournal.iter_batches(journal_dir))
         assert [batch[0] for batch in full] == reference
         segment = sorted(journal_dir.glob("segment-*.jsonl"))[-1]
         pristine = segment.read_bytes()
@@ -191,8 +259,7 @@ class TestTornWriteFuzz:
             segment.write_bytes(pristine)
             truncate_file_at(segment, offset)
             try:
-                _, batches = StreamJournal.load(journal_dir)
-                got = list(batches)
+                got = list(StreamJournal.iter_batches(journal_dir))
             except CheckpointError:
                 continue  # refused loudly: acceptable, never silent
             # Whatever survives is an exact prefix of the original batches.
@@ -203,37 +270,30 @@ class TestTornWriteFuzz:
                     assert np.array_equal(a, b)
         segment.write_bytes(pristine)
 
-    def test_batch_journal_truncated_at_every_offset(self, tmp_path):
-        graphs = [
-            gen.erdos_renyi_graph(12, 0.4, seed=20 + i, ensure_connected=True)
-            for i in range(3)
-        ]
+    def test_batch_journal_truncated_at_every_offset(self, batch_graphs, tmp_path):
         journal = tmp_path / "batch.jsonl"
-        full = sparsify_many(graphs, epsilon=0.5, seed=7, checkpoint=journal)
-        reference = {
-            i: (
-                r.sparsifier.edge_u.tolist(),
-                r.sparsifier.edge_v.tolist(),
-                r.sparsifier.edge_weights.tolist(),
-            )
-            for i, r in enumerate(full.results)
-        }
+        full = run_batch(batch_graphs, journal)
+        reference = [result_fingerprint(r) for r in full.results]
         pristine = journal.read_bytes()
-        loader = BatchJournal(journal, epsilon=0.5, rho=4.0, num_jobs=len(graphs))
+
+        def open_journal():
+            return BatchJournal(journal, epsilon=0.5, rho=4.0, num_jobs=len(batch_graphs))
+
         for offset in range(len(pristine)):
             journal.write_bytes(pristine)
             truncate_file_at(journal, offset)
-            try:
-                completed = loader.load_completed(graphs)
-            except CheckpointError:
-                continue  # refused loudly: acceptable, never silent
-            # Whatever resumes is bit-identical to the clean run's results.
+            loader = open_journal()
+            completed = loader.load_completed(batch_graphs)
+            # Whatever survives is bit-identical to the clean run's results.
             for index, result in completed.items():
-                assert (
-                    result.sparsifier.edge_u.tolist(),
-                    result.sparsifier.edge_v.tolist(),
-                    result.sparsifier.edge_weights.tolist(),
-                ) == reference[index]
+                assert result_fingerprint(result) == reference[index]
+            # Resume with appends: the torn tail is cut off first, so the
+            # re-recorded jobs read back whole.
+            for index, result in enumerate(full.results):
+                if index not in completed:
+                    loader.record(index, batch_graphs[index], result)
+            reread = open_journal().load_completed(batch_graphs)
+            assert [result_fingerprint(reread[i]) for i in sorted(reread)] == reference
         journal.write_bytes(pristine)
 
 
@@ -280,6 +340,33 @@ class TestBitFlipCorruption:
         )
         if not report.bit_exact:
             assert list(store.rglob("*.quarantined*"))
+
+    def test_flipped_journal_key_is_declared_lossy(self, tmp_path):
+        store = tmp_path / "store"
+        stream = StreamingSparsifier(6, seed=0, store=store)
+        stream.ingest(np.array([[0, 1], [2, 3]]))
+        stream.ingest(np.array([[1, 2]]))
+        segment = sorted((store / "journal").glob("segment-*.jsonl"))[0]
+        flip_bit(segment, segment.read_bytes().index(b'"u": [') + 1)  # "u" -> "t"
+        with pytest.raises(CheckpointError, match="malformed"):
+            list(StreamJournal.iter_batches(store / "journal"))
+        recovered, report = StreamStateStore.recover(store)
+        assert not report.bit_exact and report.batches_lost == 2
+        assert recovered.batches_ingested == 0
+
+    def test_flipped_batch_result_weight_is_refused(self, batch_graphs, tmp_path):
+        journal = tmp_path / "batch.jsonl"
+        run_batch(batch_graphs, journal)
+        data = journal.read_bytes()
+        start = data.index(b'"edge_weights": [') + len(b'"edge_weights": [')
+        # The first stored weight with a leading 2/4/6/8: flipping bit 0
+        # makes it another nonzero digit (4.0 -> 5.0), still a valid graph.
+        offset = start
+        while data[offset : offset + 1] not in (b"2", b"4", b"6", b"8"):
+            offset = data.index(b", ", offset) + 2
+        flip_bit(journal, offset)
+        with pytest.raises(CheckpointError, match="digest"):
+            run_batch(batch_graphs, journal)
 
     def test_flipped_snapshot_falls_back_to_previous_snapshot(
         self, torture_graph, torture_batches, clean_references, tmp_path

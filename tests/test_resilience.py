@@ -251,6 +251,16 @@ class TestCheckpointJournal:
         with pytest.raises(CheckpointError, match="header"):
             BatchJournal(journal, epsilon=0.5, rho=4.0, num_jobs=3).load_completed(graphs)
 
+    def test_version_1_checkpoint_refused(self, graphs, tmp_path):
+        # v1 job lines carry no result digest; resuming one would skip the check.
+        journal = tmp_path / "batch.jsonl"
+        sparsify_many(graphs, epsilon=0.5, seed=7, checkpoint=journal)
+        lines = journal.read_text().splitlines()
+        lines[0] = lines[0].replace('"version": 2', '"version": 1')
+        journal.write_text("\n".join(lines) + "\n")
+        with pytest.raises(CheckpointError, match="version 1"):
+            sparsify_many(graphs, epsilon=0.5, seed=7, checkpoint=journal)
+
     def test_digest_is_content_addressed(self, graphs):
         assert batch_graph_digest(graphs[0]) == batch_graph_digest(graphs[0])
         assert batch_graph_digest(graphs[0]) != batch_graph_digest(graphs[1])

@@ -8,8 +8,8 @@ The contract under test (see ``repro/streaming/sparsifier.py``):
 * **Split invariance** — in the default mode the snapshot after a given
   edge sequence does not depend on how the sequence was chopped into
   ``ingest`` calls.
-* **Crash resumability** — journaled streams resume bit-exactly, losing
-  at most the one batch whose journal append was torn.
+* **Crash resumability** — ``store=`` streams recover bit-exactly,
+  losing at most the one batch whose journal append was torn.
 * **Retry neutrality** — compactions rebuild their RNG per attempt, so a
   crashed-and-retried stream equals a never-crashed one bit for bit.
 """
@@ -241,80 +241,96 @@ class TestEndToEnd:
 
 
 class TestJournalResume:
-    def test_resume_is_bit_exact_and_reattaches(self, stream_graph, tmp_path):
-        journal = tmp_path / "stream.jsonl"
-        stream = run_stream(
-            stream_graph, batch_size=400, seed=9, compaction_interval=500,
-            journal=journal,
-        )
-        resumed = StreamingSparsifier.resume(journal)
-        assert resumed.batches_ingested == stream.batches_ingested
-        assert resumed.compactions == stream.compactions
-        a, b = stream.snapshot(), resumed.snapshot()
+    """A ``store=`` stream without snapshots: the journal alone, read by ``recover()``."""
+
+    def assert_same_snapshot(self, a, b):
+        a, b = a.snapshot(), b.snapshot()
         assert np.array_equal(a.graph.edge_u, b.graph.edge_u)
         assert np.array_equal(a.graph.edge_v, b.graph.edge_v)
         assert np.array_equal(a.graph.edge_weights, b.graph.edge_weights)
+
+    def test_resume_is_bit_exact_and_reattaches(self, stream_graph, tmp_path):
+        store = tmp_path / "store"
+        stream = run_stream(
+            stream_graph, batch_size=400, seed=9, compaction_interval=500,
+            store=store,
+        )
+        resumed, report = StreamingSparsifier.recover(store)
+        assert report.bit_exact and report.snapshot_used is None
+        assert resumed.batches_ingested == stream.batches_ingested
+        assert resumed.compactions == stream.compactions
+        self.assert_same_snapshot(stream, resumed)
         # The journal is reattached: new batches keep appending.
         resumed.ingest(np.array([[0, 1]]), np.array([1.0]))
-        again = StreamingSparsifier.resume(journal)
+        again, report = StreamingSparsifier.recover(store)
+        assert report.bit_exact
         assert again.batches_ingested == resumed.batches_ingested
 
     def test_torn_trailing_append_loses_at_most_one_batch(self, stream_graph, tmp_path):
-        journal = tmp_path / "stream.jsonl"
+        store = tmp_path / "store"
         run_stream(
             stream_graph, batch_size=400, seed=9, compaction_interval=500,
-            journal=journal,
+            store=store,
         )
-        active = sorted(journal.glob("segment-*.jsonl"))[-1]
+        active = sorted((store / "journal").glob("segment-*.jsonl"))[-1]
         with open(active, "a") as handle:
             handle.write('{"kind": "batch", "index": 99, "u": [1')  # crash mid-append
-        resumed = StreamingSparsifier.resume(journal)
+        resumed, report = StreamingSparsifier.recover(store)
+        assert report.bit_exact and report.torn_tail_dropped
         reference = run_stream(
             stream_graph, batch_size=400, seed=9, compaction_interval=500
         )
         assert resumed.batches_ingested == reference.batches_ingested
-        assert np.array_equal(
-            resumed.snapshot().graph.edge_weights,
-            reference.snapshot().graph.edge_weights,
-        )
+        self.assert_same_snapshot(resumed, reference)
 
     def test_corruption_and_misuse_are_refused(self, stream_graph, tmp_path):
-        journal = tmp_path / "stream.jsonl"
+        store = tmp_path / "store"
         run_stream(
             stream_graph, batch_size=700, seed=9, compaction_interval=500,
-            journal=journal,
+            store=store,
         )
-        # A fresh stream must not silently append to an existing journal.
-        with pytest.raises(CheckpointError, match="resume"):
-            StreamingSparsifier(stream_graph.num_vertices, journal=journal)
-        # Mid-segment corruption is not a torn append.
-        active = sorted(journal.glob("segment-*.jsonl"))[-1]
+        # A fresh stream must not silently append to an existing store.
+        with pytest.raises(CheckpointError, match="recover"):
+            StreamingSparsifier(stream_graph.num_vertices, store=store)
+        # Mid-segment corruption is not a torn append: the strict reader
+        # refuses it and recovery declares the loss.
+        active = sorted((store / "journal").glob("segment-*.jsonl"))[-1]
         lines = active.read_text().splitlines()
         lines[1] = lines[1][:20]
         active.write_text("\n".join(lines) + "\n")
         with pytest.raises(CheckpointError, match="corrupt"):
-            StreamingSparsifier.resume(journal)
+            list(StreamJournal.iter_batches(store / "journal"))
+        _, report = StreamingSparsifier.recover(store)
+        assert not report.bit_exact
+        assert any("corrupt" in note for note in report.notes)
 
     def test_digest_mismatch_refused(self, tmp_path):
-        journal_path = tmp_path / "stream.jsonl"
-        stream = StreamingSparsifier(6, seed=0, journal=journal_path)
+        store = tmp_path / "store"
+        stream = StreamingSparsifier(6, seed=0, store=store)
         stream.ingest(np.array([[0, 1], [2, 3]]))
-        active = sorted(journal_path.glob("segment-*.jsonl"))[-1]
+        active = sorted((store / "journal").glob("segment-*.jsonl"))[-1]
         record = json.loads(active.read_text().splitlines()[1])
         record["w"] = [2.0, 2.0]  # tamper with the edges, keep the digest
         lines = active.read_text().splitlines()
         lines[1] = json.dumps(record)
         active.write_text("\n".join(lines) + "\n")
         with pytest.raises(CheckpointError, match="digest"):
-            StreamingSparsifier.resume(journal_path)
+            list(StreamJournal.iter_batches(store / "journal"))
+        recovered, report = StreamingSparsifier.recover(store)
+        assert not report.bit_exact and report.batches_lost == 1
+        assert any("digest" in note for note in report.notes)
+        assert recovered.batches_ingested == 0
 
     def test_missing_or_headerless_journal_refused(self, tmp_path):
         with pytest.raises(CheckpointError, match="missing or empty"):
-            StreamJournal.load(tmp_path / "absent.jsonl")
-        bogus = tmp_path / "bogus.jsonl"
-        bogus.write_text('{"kind": "batch", "index": 0}\n')
-        with pytest.raises(CheckpointError, match="header"):
-            StreamJournal.load(bogus)
+            StreamJournal.read_params(tmp_path / "absent")
+        with pytest.raises(CheckpointError, match="nothing to recover"):
+            StreamingSparsifier.recover(tmp_path / "absent")
+        bogus = tmp_path / "bogus"
+        bogus.mkdir()
+        (bogus / "segment-00000000.jsonl").write_text('{"kind": "batch", "index": 0}\n')
+        with pytest.raises(CheckpointError, match="no header line"):
+            StreamJournal.scan_segments(bogus)
 
 
 class TestWindowAndDecay:
@@ -390,13 +406,14 @@ class TestKOutPresampling:
 
     def test_presample_is_deterministic_and_journal_replayable(self, tmp_path):
         graph = gen.erdos_renyi_graph(60, 0.6, seed=4)
-        journal = tmp_path / "stream.jsonl"
+        store = tmp_path / "store"
         stream = StreamingSparsifier(
             graph.num_vertices, seed=3, kout_presample=2, compaction_interval=800,
-            journal=journal,
+            store=store,
         )
         stream.ingest(np.column_stack([graph.edge_u, graph.edge_v]), graph.edge_weights)
-        resumed = StreamingSparsifier.resume(journal)
+        resumed, report = StreamingSparsifier.recover(store)
+        assert report.bit_exact
         assert np.array_equal(
             stream.snapshot().graph.edge_weights,
             resumed.snapshot().graph.edge_weights,
@@ -492,13 +509,13 @@ class TestStreamCLI:
 
         batches = tmp_path / "batches.jsonl"
         output = tmp_path / "snapshot.txt"
-        journal = tmp_path / "journal.jsonl"
+        store = tmp_path / "store"
         self.write_batches(stream_graph, batches, 400)
         code = main([
             "stream", str(batches), str(output),
             "--n", str(stream_graph.num_vertices),
             "--seed", "3", "--compaction-interval", "500",
-            "--journal", str(journal), "--certify-resistances", "6",
+            "--store", str(store), "--certify-resistances", "6",
         ])
         assert code == 0
         out = capsys.readouterr().out
@@ -506,10 +523,42 @@ class TestStreamCLI:
         written = read_edge_list(output)
 
         resumed_output = tmp_path / "resumed.txt"
-        code = main(["stream", str(resumed_output), "--resume", "--journal", str(journal)])
+        code = main(["stream", str(resumed_output), "--resume", "--store", str(store)])
         assert code == 0
+        assert "bit-exact" in capsys.readouterr().out
         resumed = read_edge_list(resumed_output)
         assert np.array_equal(written.edge_weights, resumed.edge_weights)
+
+    def test_lossy_resume_exits_nonzero_like_recover(self, stream_graph, tmp_path, capsys):
+        import shutil
+
+        from repro.cli import main
+        from repro.testing.faults import flip_bit
+
+        batches = tmp_path / "batches.jsonl"
+        store = tmp_path / "store"
+        self.write_batches(stream_graph, batches, 400)
+        code = main([
+            "stream", str(batches), str(tmp_path / "out.txt"),
+            "--n", str(stream_graph.num_vertices), "--seed", "3",
+            "--compaction-interval", "500", "--store", str(store),
+        ])
+        assert code == 0
+        # Flip one digit of the first journaled batch's weights: its
+        # digest no longer matches, so recovery must declare the loss.
+        segment = sorted((store / "journal").glob("segment-*.jsonl"))[0]
+        data = segment.read_bytes()
+        flip_bit(segment, data.index(b'"w": [') + len(b'"w": [') + 1)
+        twin = tmp_path / "twin"
+        shutil.copytree(store, twin)
+        capsys.readouterr()
+
+        resumed_output = tmp_path / "resumed.txt"
+        code = main(["stream", str(resumed_output), "--resume", "--store", str(store)])
+        assert code == 1
+        assert "LOSSY" in capsys.readouterr().out
+        assert resumed_output.exists()  # the output is still written
+        assert main(["recover", str(twin)]) == 1
 
     def test_stream_subcommand_validation(self, tmp_path):
         from repro.cli import main
@@ -521,3 +570,5 @@ class TestStreamCLI:
             main(["stream", str(batches), str(tmp_path / "out.txt")])
         with pytest.raises(ReproError, match="edges"):
             main(["stream", str(batches), str(tmp_path / "out.txt"), "--n", "5"])
+        with pytest.raises(ReproError, match="--store"):
+            main(["stream", str(tmp_path / "out.txt"), "--resume"])
