@@ -212,6 +212,10 @@ def banded_graph(
     return Graph(n, u, v, weights)
 
 
+# Pairs drawn per block by erdos_renyi_graph (8 MB of doubles).
+_ER_BLOCK_PAIRS = 1 << 20
+
+
 def erdos_renyi_graph(
     n: int,
     p: float,
@@ -230,10 +234,23 @@ def erdos_renyi_graph(
     if not 0.0 <= p <= 1.0:
         raise GraphError(f"edge probability must be in [0, 1], got {p}")
     rng = as_rng(seed)
-    iu, iv = np.triu_indices(n, k=1)
-    mask = rng.random(iu.shape[0]) < p
-    u = iu[mask].astype(np.int64)
-    v = iv[mask].astype(np.int64)
+    # One uniform draw per pair (i, j), i < j, in row-major order — the
+    # order of np.triu_indices(n, k=1) — taken a block of rows at a time,
+    # so memory is O(block + m) rather than O(n^2).  The generator yields
+    # the same doubles in chunks as in one call.
+    u_parts, v_parts = [], []
+    row = 0
+    while row < n - 1:
+        stop = min(n - 1, row + max(1, _ER_BLOCK_PAIRS // (n - 1 - row)))
+        lengths = n - 1 - np.arange(row, stop, dtype=np.int64)
+        starts = np.cumsum(lengths) - lengths
+        hits = np.flatnonzero(rng.random(int(lengths.sum())) < p)
+        rows = np.searchsorted(starts, hits, side="right") - 1
+        u_parts.append(row + rows)
+        v_parts.append(row + rows + 1 + (hits - starts[rows]))
+        row = stop
+    u = np.concatenate(u_parts) if u_parts else np.array([], dtype=np.int64)
+    v = np.concatenate(v_parts) if v_parts else np.array([], dtype=np.int64)
     if ensure_connected and n > 1:
         perm = rng.permutation(n).astype(np.int64)
         backbone_u = perm[:-1]

@@ -60,7 +60,7 @@ __all__ = [
     "DEFAULT_SEGMENT_BYTES",
 ]
 
-STREAM_JOURNAL_VERSION = 2
+STREAM_JOURNAL_VERSION = 3
 
 # Size bound after which the active segment is sealed and a new one
 # opened.  Small enough that resume-after-snapshot touches little data,
@@ -82,11 +82,7 @@ _PINNED_KEYS = (
     "seed",
     "auto_seeded",
     "window",
-    "decay",
     "compaction_interval",
-    "kout_presample",
-    "levels",
-    "level_capacity",
 )
 
 Batch = Tuple[int, np.ndarray, np.ndarray, np.ndarray]
@@ -111,9 +107,7 @@ def canonical_stream_params(params: Dict[str, Any]) -> Dict[str, Any]:
         if isinstance(value, float):
             value = json.loads(json.dumps(value))
         canon[key] = value
-    # Seed provenance: journals written before the flag existed simply
-    # lack it, which canonicalises to False (an explicit seed).
-    canon["auto_seeded"] = bool(canon["auto_seeded"] or False)
+    canon["auto_seeded"] = bool(canon["auto_seeded"])
     return canon
 
 
@@ -534,15 +528,16 @@ class StreamJournal:
             is_last = position == len(infos) - 1
             failure: Optional[str] = None
             segment_batches: List[Batch] = []
-            records: List[Dict[str, Any]] = []
             if info.first_batch != expected:
+                total = _count_batch_records(info.path)
                 failure = (
                     f"segment {info.path.name} starts at batch {info.first_batch} "
                     f"where batch {expected} was expected — batches in between "
                     "are missing"
                 )
             else:
-                records, _, status = parse_journal(info.path)
+                records, valid_end, status = parse_journal(info.path)
+                total = _batch_total(info.path, records, valid_end, status)
                 report.segments_replayed += 1
                 for record in records[1:]:  # records[0] is the header
                     if record.get("kind") != "batch":
@@ -571,9 +566,7 @@ class StreamJournal:
                 report.corrupt_segment = info.path.name
                 report.corruption = failure
                 report.salvaged = segment_batches
-                processed = expected - info.first_batch if records else 0
-                total = sum(1 for r in records if r.get("kind") == "batch")
-                report.batches_lost += max(0, total - processed)
+                report.batches_lost += max(0, total - len(segment_batches))
                 report.batches_lost += _count_remaining_batches(infos[position + 1 :])
                 for batch in segment_batches:
                     if batch[0] < start_batch:
@@ -590,13 +583,28 @@ class StreamJournal:
                 yield batch
 
 
+def _batch_total(
+    path: Path, records: List[Dict[str, Any]], valid_end: int, status: str
+) -> int:
+    """Batch records journaled in one parsed segment.
+
+    The parser stops at an undecodable interior line, but that line and
+    every newline-terminated line behind it were journaled batches too.
+    """
+    total = sum(1 for record in records if record.get("kind") == "batch")
+    if status == "interior":
+        with open(path, "rb") as handle:
+            handle.seek(valid_end)
+            total += sum(1 for line in handle if line.endswith(b"\n") and line.strip())
+    return total
+
+
 def _count_batch_records(path: Path) -> int:
     """Best-effort count of batch records in one segment (0 if unreadable)."""
     try:
-        records, _, _ = parse_journal(path)
+        return _batch_total(path, *parse_journal(path))
     except OSError:
         return 0
-    return sum(1 for record in records if record.get("kind") == "batch")
 
 
 def _count_remaining_batches(infos: List[SegmentInfo]) -> int:

@@ -33,11 +33,7 @@ __all__ = ["StreamMethodResult", "run_streaming"]
 _KNOWN_OPTIONS = (
     "num_batches",
     "window",
-    "decay",
     "compaction_interval",
-    "kout_presample",
-    "levels",
-    "level_capacity",
     "t",
     "k",
 )
@@ -76,10 +72,10 @@ def run_streaming(
 ):
     """Replay ``graph`` through a :class:`StreamingSparsifier` and snapshot.
 
-    Options: ``num_batches`` (default 4), ``window``, ``decay``,
+    Options: ``num_batches`` (default 4), ``window``,
     ``compaction_interval`` (default ``ceil(m / num_batches)`` so every
-    batch triggers roughly one compaction), ``kout_presample``, and
-    explicit ``t`` / ``k`` bundle overrides.  ``rho`` has no streaming
+    batch triggers roughly one compaction), and explicit ``t`` / ``k``
+    bundle overrides.  ``rho`` has no streaming
     analogue and is ignored.
     """
     unknown = sorted(set(options) - set(_KNOWN_OPTIONS))
@@ -103,11 +99,7 @@ def run_streaming(
         config=config,
         seed=seed,
         window=options.get("window"),
-        decay=options.get("decay"),
         compaction_interval=interval,
-        kout_presample=options.get("kout_presample"),
-        levels=options.get("levels"),
-        level_capacity=options.get("level_capacity"),
     )
     # Contiguous slices preserve the input edge order, so num_batches=1
     # reproduces the batch sample bit for bit.

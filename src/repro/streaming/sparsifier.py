@@ -26,19 +26,15 @@ Design
 * **Snapshots are split-invariant.**  Because compaction points depend
   only on the cumulative edge count, the state after ingesting a given
   edge sequence is bit-identical no matter how the sequence was split
-  into ``ingest`` calls (default mode; windowing, decay and k-out
-  presampling are batch-indexed by design and documented exceptions).
+  into ``ingest`` calls (unwindowed mode; a sliding ``window`` keeps the
+  edges of the last ``w`` ingest batches, so it is batch-indexed by
+  design).
 * **Batch parity.**  Compaction ``c`` draws from an RNG stream that is a
   pure function of ``(seed, c)``; compaction 0's stream is exactly
   ``as_rng(seed)`` — the stream the batch path consumes — so a stream
   whose first block is the whole graph reproduces
   :func:`repro.core.sample.parallel_sample` (and the golden-pinned
   :func:`repro.spanners.bundle.t_bundle_spanner` selection) bit for bit.
-* **Windowed / decayed views.**  ``window=w`` keeps only edges from the
-  last ``w`` ingest batches (older edges are evicted from state and
-  reference alike); ``decay=gamma`` scales an edge arriving in batch
-  ``a`` by ``gamma^(b - a)`` at current batch ``b`` (applied lazily, so
-  resume replay is bit-exact).
 * **Resilient ingestion.**  With ``store=`` each batch is journaled
   *before* it is processed (:class:`~repro.streaming.journal.StreamJournal`
   under a :class:`~repro.streaming.store.StreamStateStore`), so a crashed
@@ -53,7 +49,7 @@ Design
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple, Union
 
@@ -66,7 +62,6 @@ from repro.core.checkpoint import DurableIO
 from repro.core.config import SparsifierConfig
 from repro.exceptions import CheckpointError, GraphError, StreamingError
 from repro.graphs.graph import Graph
-from repro.graphs.kout import k_out_keep_probabilities, k_out_select
 from repro.parallel.failure import FailurePolicy
 from repro.resistance.solver_select import ResistanceSolveStats
 from repro.spanners.bundle import bundle_select
@@ -81,21 +76,12 @@ __all__ = [
     "StreamSnapshot",
     "StreamCertificate",
     "StreamingSparsifier",
-    "LEVEL_FANOUT",
     "compaction_rng",
 ]
 
-# Each retained level holds LEVEL_FANOUT times the capacity of the level
-# below it before overflowing into the next merge (LSM-style geometric
-# growth: deeper levels hold older, already-resampled edges and are
-# touched exponentially less often).
-LEVEL_FANOUT = 4
-
-# spawn_key tags partitioning the seed's stream space: compactions after
-# the first, and per-batch k-out presampling.  Compaction 0 uses the bare
-# ``as_rng(seed)`` stream for batch parity (see module docstring).
+# spawn_key tag of the compactions after the first.  Compaction 0 uses
+# the bare ``as_rng(seed)`` stream for batch parity (see module docstring).
 _COMPACTION_KEY = 1
-_PRESAMPLE_KEY = 2
 
 
 def compaction_rng(seed: int, index: int) -> np.random.Generator:
@@ -113,12 +99,6 @@ def compaction_rng(seed: int, index: int) -> np.random.Generator:
         return as_rng(int(seed))
     return np.random.default_rng(
         np.random.SeedSequence(int(seed), spawn_key=(_COMPACTION_KEY, int(index)))
-    )
-
-
-def _presample_rng(seed: int, batch_index: int) -> np.random.Generator:
-    return np.random.default_rng(
-        np.random.SeedSequence(int(seed), spawn_key=(_PRESAMPLE_KEY, int(batch_index)))
     )
 
 
@@ -193,7 +173,6 @@ class IngestRecord:
 
     batch_index: int
     edges: int
-    edges_after_presample: int
     compactions_run: int
     evicted_edges: int
 
@@ -208,12 +187,16 @@ class IngestRecord:
 
     @property
     def output_edges(self) -> int:
-        return self.edges_after_presample
+        return self.edges
 
 
 @dataclass(frozen=True)
 class StreamStats:
     """Lightweight counters attached to snapshots (``UnifiedResult.native``).
+
+    ``live_input_edges`` counts the ingested edges still in scope (all of
+    them unless a ``window`` evicted old batches); ``evicted_edges``
+    counts retained and pending edges the window dropped.
 
     ``seed`` is the stream's *resolved* integer seed and ``auto_seeded``
     records whether it was drawn from OS entropy (``seed=None`` at
@@ -229,7 +212,6 @@ class StreamStats:
     pending_edges: int
     compactions: int
     evicted_edges: int
-    presampled_away: int
     ingest_seconds: float
     seed: int = 0
     auto_seeded: bool = False
@@ -285,6 +267,10 @@ class StreamCertificate:
 class StreamingSparsifier:
     """Ingest edge batches, keep a sparsifier-sized state, snapshot on demand.
 
+    The state is one retained pool (bundle edges at face weight plus
+    sampled survivors boosted ``1/p``), a pending buffer of raw arrivals,
+    and the exact live edge list that :meth:`certify` measures against.
+
     Parameters
     ----------
     num_vertices:
@@ -296,7 +282,8 @@ class StreamingSparsifier:
         sizing (``config.bundle_size`` / ``config.spanner_k``).
     config:
         :class:`~repro.core.config.SparsifierConfig` supplying the
-        sampling probability, execution backend and default solver.
+        sampling probability ``p`` (``config.sampling_probability``, which
+        must lie in ``(0, 1)``), execution backend and default solver.
     seed:
         Integer stream seed (a ``numpy`` Generator is accepted and
         collapsed to one draw; ``None`` draws fresh OS entropy).  The
@@ -305,19 +292,11 @@ class StreamingSparsifier:
     window:
         Keep only edges from the last ``window`` ingest batches
         (``None`` = cumulative).
-    decay:
-        Exponential weight decay per batch in ``(0, 1]``; an edge from
-        batch ``a`` weighs ``w * decay**(b - a)`` at current batch ``b``.
     compaction_interval:
         Ingested edges per compaction block (default
         ``max(4096, 2 * num_vertices)``).  Compaction points depend only
         on the cumulative count, which is what makes snapshots invariant
         to batch splits.
-    kout_presample:
-        When set, ingest batches carrying more than ``kout_presample *
-        num_vertices`` edges are first reduced by a random k-out sample
-        with Horvitz–Thompson reweighting
-        (:mod:`repro.graphs.kout`) — the ultra-cheap dense-burst guard.
     store:
         Directory of a :class:`~repro.streaming.store.StreamStateStore`.
         Every batch is journaled *before* processing, so a crash loses at
@@ -329,11 +308,6 @@ class StreamingSparsifier:
         :class:`~repro.parallel.failure.FailurePolicy` governing the
         compaction work (``raise`` / ``retry``; ``collect`` is rejected —
         a stream cannot skip a compaction without diverging).
-    track_exact:
-        Keep the exact live edge list so :meth:`certify` can measure the
-        snapshot against ground truth (default True; costs O(stream)
-        memory — disable for unbounded production streams and pass your
-        own reference to the certification layer).
     """
 
     def __init__(
@@ -346,18 +320,12 @@ class StreamingSparsifier:
         config: Optional[SparsifierConfig] = None,
         seed: Any = 0,
         window: Optional[int] = None,
-        decay: Optional[float] = None,
         compaction_interval: Optional[int] = None,
-        kout_presample: Optional[int] = None,
-        levels: Optional[int] = None,
-        level_capacity: Optional[int] = None,
         store: Optional[Union[str, Path]] = None,
         snapshot_every: Optional[int] = None,
         segment_bytes: int = DEFAULT_SEGMENT_BYTES,
         keep_snapshots: int = 2,
         failure_policy: Optional[FailurePolicy] = None,
-        track_exact: bool = True,
-        sampling_probability: Optional[float] = None,
         io: Optional[DurableIO] = None,
     ) -> None:
         if num_vertices < 0:
@@ -377,11 +345,7 @@ class StreamingSparsifier:
         self._k = None if k is None and self._config.spanner_k is None else int(
             k if k is not None else self._config.spanner_k
         )
-        self._p = float(
-            self._config.sampling_probability
-            if sampling_probability is None
-            else sampling_probability
-        )
+        self._p = float(self._config.sampling_probability)
         if not 0 < self._p < 1:
             raise StreamingError(
                 f"sampling probability must lie in (0, 1), got {self._p}"
@@ -391,9 +355,6 @@ class StreamingSparsifier:
         if window is not None and int(window) < 1:
             raise StreamingError(f"window must be >= 1 batches, got {window}")
         self._window = None if window is None else int(window)
-        if decay is not None and not 0 < float(decay) <= 1:
-            raise StreamingError(f"decay must lie in (0, 1], got {decay}")
-        self._decay = None if decay is None or float(decay) == 1.0 else float(decay)
         if compaction_interval is None:
             compaction_interval = max(4096, 2 * self._n)
         if int(compaction_interval) < 1:
@@ -401,38 +362,19 @@ class StreamingSparsifier:
                 f"compaction_interval must be >= 1, got {compaction_interval}"
             )
         self._interval = int(compaction_interval)
-        if kout_presample is not None and int(kout_presample) < 1:
-            raise StreamingError(
-                f"kout_presample must be >= 1, got {kout_presample}"
-            )
-        self._kout = None if kout_presample is None else int(kout_presample)
-        self._max_levels = 1 if levels is None else int(levels)
-        if self._max_levels < 1:
-            raise StreamingError(f"levels must be >= 1, got {levels}")
-        self._level_capacity = (
-            2 * self._interval if level_capacity is None else int(level_capacity)
-        )
-        if self._level_capacity < 1:
-            raise StreamingError(
-                f"level_capacity must be >= 1, got {level_capacity}"
-            )
         if failure_policy is not None and failure_policy.on_error == "collect":
             raise StreamingError(
                 "a stream cannot skip a failed compaction without diverging; "
                 'use on_error="raise" or "retry"'
             )
         self._failure_policy = failure_policy
-        self._track_exact = bool(track_exact)
 
-        # Retained state: LSM-style levels, each [u, v, w, b] arrays —
-        # bundle edges at base weight plus sampled survivors at boosted
-        # weight, tagged with their arrival batch.  Level 0 is the classic
-        # retained pool; deeper levels hold older, already-resampled edges.
-        self._levels: List[List[np.ndarray]] = [
-            self._empty_level() for _ in range(self._max_levels)
-        ]
         empty_i = np.array([], dtype=np.int64)
         empty_f = np.array([], dtype=np.float64)
+        # Retained pool: bundle edges at base weight plus sampled survivors
+        # at boosted weight, each tagged with its arrival batch.
+        self._ret_u, self._ret_v = empty_i.copy(), empty_i.copy()
+        self._ret_w, self._ret_b = empty_f.copy(), empty_i.copy()
         # Pending buffer: ingested edges not yet consumed by a compaction.
         self._pen_u, self._pen_v = empty_i.copy(), empty_i.copy()
         self._pen_w, self._pen_b = empty_f.copy(), empty_i.copy()
@@ -442,7 +384,6 @@ class StreamingSparsifier:
         self._edges_ingested = 0
         self._compactions = 0
         self._evicted = 0
-        self._presampled_away = 0
         self._ingest_seconds = 0.0
         self.records: List[CompactionRecord] = []
         self._replaying = False
@@ -476,15 +417,6 @@ class StreamingSparsifier:
     # ------------------------------------------------------------------ #
 
     @staticmethod
-    def _empty_level() -> List[np.ndarray]:
-        return [
-            np.array([], dtype=np.int64),
-            np.array([], dtype=np.int64),
-            np.array([], dtype=np.float64),
-            np.array([], dtype=np.int64),
-        ]
-
-    @staticmethod
     def _normalize_seed(seed: Any) -> int:
         if isinstance(seed, np.random.Generator):
             # Batch fan-outs hand methods pre-split generators; collapse
@@ -506,11 +438,7 @@ class StreamingSparsifier:
             "seed": self._seed,
             "auto_seeded": self._auto_seeded,
             "window": self._window,
-            "decay": self._decay,
             "compaction_interval": self._interval,
-            "kout_presample": self._kout,
-            "levels": self._max_levels,
-            "level_capacity": self._level_capacity,
         }
 
     @classmethod
@@ -520,29 +448,25 @@ class StreamingSparsifier:
         *,
         config: Optional[SparsifierConfig] = None,
         failure_policy: Optional[FailurePolicy] = None,
-        track_exact: bool = True,
     ) -> "StreamingSparsifier":
         """Build a fresh, unattached stream from pinned journal parameters."""
+        config = replace(
+            config if config is not None else SparsifierConfig(),
+            sampling_probability=params["sampling_probability"],
+        )
         stream = cls(
             params["num_vertices"],
             t=params["t"],
             k=params["k"],
-            sampling_probability=params["sampling_probability"],
             seed=params["seed"],
             window=params["window"],
-            decay=params["decay"],
             compaction_interval=params["compaction_interval"],
-            kout_presample=params["kout_presample"],
-            levels=params.get("levels"),
-            level_capacity=params.get("level_capacity"),
             config=config,
             failure_policy=failure_policy,
-            track_exact=track_exact,
         )
         # The header pins the *resolved* seed, so the rebuilt stream is
-        # constructed from an explicit int; restore the provenance flag
-        # (absent in pre-auto_seeded journals → False).
-        stream._auto_seeded = bool(params.get("auto_seeded", False))
+        # constructed from an explicit int; restore the provenance flag.
+        stream._auto_seeded = bool(params["auto_seeded"])
         return stream
 
     @classmethod
@@ -552,7 +476,6 @@ class StreamingSparsifier:
         *,
         config: Optional[SparsifierConfig] = None,
         failure_policy: Optional[FailurePolicy] = None,
-        track_exact: bool = True,
         snapshot_every: Optional[int] = None,
         segment_bytes: int = DEFAULT_SEGMENT_BYTES,
         keep_snapshots: int = 2,
@@ -565,13 +488,14 @@ class StreamingSparsifier:
         damaged files, and returns ``(stream, RecoveryReport)``.  The
         report says whether the restored state is bit-exact with respect
         to the batches whose appends completed, or lossy (and what was
-        lost) — recovery never silently diverges.
+        lost) — recovery never silently diverges.  A store written in
+        another on-disk format is refused with :class:`CheckpointError`
+        before any file is touched.
         """
         return StreamStateStore.recover(
             store,
             config=config,
             failure_policy=failure_policy,
-            track_exact=track_exact,
             snapshot_every=snapshot_every,
             segment_bytes=segment_bytes,
             keep_snapshots=keep_snapshots,
@@ -622,16 +546,11 @@ class StreamingSparsifier:
 
     @property
     def retained_edges(self) -> int:
-        return int(sum(level[0].shape[0] for level in self._levels))
-
-    @property
-    def level_sizes(self) -> List[int]:
-        """Edge count per retained level (level 0 first)."""
-        return [int(level[0].shape[0]) for level in self._levels]
+        return int(self._ret_u.shape[0])
 
     @property
     def live_input_edges(self) -> int:
-        """Exact edges currently in scope (window-aware, pre-presampling)."""
+        """Exact edges currently in scope (window-aware)."""
         if self._window is None:
             return self._edges_ingested
         return int(sum(self._batch_sizes[-self._window:]))
@@ -657,19 +576,14 @@ class StreamingSparsifier:
         self._batches_ingested += 1
         self._batch_sizes.append(int(u.shape[0]))
         self._edges_ingested += int(u.shape[0])
-        if self._track_exact:
-            self._exact.append((batch, u, v, w))
+        self._exact.append((batch, u, v, w))
         evicted = self._evict_expired(batch)
 
-        pu, pv, pw = u, v, w
-        if self._kout is not None and u.shape[0] > self._kout * max(self._n, 1):
-            pu, pv, pw = self._presample(batch, u, v, w)
-            self._presampled_away += int(u.shape[0] - pu.shape[0])
-        self._pen_u = np.concatenate([self._pen_u, pu])
-        self._pen_v = np.concatenate([self._pen_v, pv])
-        self._pen_w = np.concatenate([self._pen_w, pw])
+        self._pen_u = np.concatenate([self._pen_u, u])
+        self._pen_v = np.concatenate([self._pen_v, v])
+        self._pen_w = np.concatenate([self._pen_w, w])
         self._pen_b = np.concatenate(
-            [self._pen_b, np.full(pu.shape[0], batch, dtype=np.int64)]
+            [self._pen_b, np.full(u.shape[0], batch, dtype=np.int64)]
         )
 
         compactions_run = 0
@@ -688,7 +602,6 @@ class StreamingSparsifier:
         return IngestRecord(
             batch_index=batch,
             edges=int(u.shape[0]),
-            edges_after_presample=int(pu.shape[0]),
             compactions_run=compactions_run,
             evicted_edges=evicted,
         )
@@ -723,41 +636,35 @@ class StreamingSparsifier:
     def _state_payload(self) -> Tuple[Dict[str, Any], Dict[str, np.ndarray]]:
         """Full sampler state as ``(counters, named arrays)``.
 
-        Everything future output depends on is here: the leveled retained
-        pools, the pending buffer, the exact-reference pools (when
-        tracked), batch sizes, and the counters that position the RNG
-        schedule (``compactions``) and the batch index.  The
-        ``records`` telemetry list is deliberately *not* persisted — it
-        describes past passes, nothing downstream replays it.
+        Everything future output depends on is here: the retained pool,
+        the pending buffer, the exact-reference batches, batch sizes, and
+        the counters that position the RNG schedule (``compactions``) and
+        the batch index.  The ``records`` telemetry list is deliberately
+        *not* persisted — it describes past passes, nothing downstream
+        replays it.
         """
-        arrays: Dict[str, np.ndarray] = {}
-        for i, level in enumerate(self._levels):
-            arrays[f"level{i}/u"] = level[0]
-            arrays[f"level{i}/v"] = level[1]
-            arrays[f"level{i}/w"] = level[2]
-            arrays[f"level{i}/b"] = level[3]
-        arrays["pending/u"] = self._pen_u
-        arrays["pending/v"] = self._pen_v
-        arrays["pending/w"] = self._pen_w
-        arrays["pending/b"] = self._pen_b
-        arrays["batch_sizes"] = np.asarray(self._batch_sizes, dtype=np.int64)
-        exact_batches: List[int] = []
-        if self._track_exact:
-            for j, (batch, u, v, w) in enumerate(self._exact):
-                arrays[f"exact{j}/u"] = u
-                arrays[f"exact{j}/v"] = v
-                arrays[f"exact{j}/w"] = w
-                exact_batches.append(int(batch))
+        arrays: Dict[str, np.ndarray] = {
+            "retained/u": self._ret_u,
+            "retained/v": self._ret_v,
+            "retained/w": self._ret_w,
+            "retained/b": self._ret_b,
+            "pending/u": self._pen_u,
+            "pending/v": self._pen_v,
+            "pending/w": self._pen_w,
+            "pending/b": self._pen_b,
+            "batch_sizes": np.asarray(self._batch_sizes, dtype=np.int64),
+        }
+        for j, (_, u, v, w) in enumerate(self._exact):
+            arrays[f"exact{j}/u"] = u
+            arrays[f"exact{j}/v"] = v
+            arrays[f"exact{j}/w"] = w
         counters = {
             "batches_ingested": int(self._batches_ingested),
             "edges_ingested": int(self._edges_ingested),
             "compactions": int(self._compactions),
             "evicted": int(self._evicted),
-            "presampled_away": int(self._presampled_away),
             "ingest_seconds": float(self._ingest_seconds),
-            "num_levels": len(self._levels),
-            "track_exact": bool(self._track_exact),
-            "exact_batches": exact_batches,
+            "exact_batches": [int(batch) for batch, *_ in self._exact],
         }
         return counters, arrays
 
@@ -766,47 +673,28 @@ class StreamingSparsifier:
     ) -> None:
         """Overwrite this (fresh) stream's state with a snapshot payload."""
         try:
-            num_levels = int(counters["num_levels"])
-            if num_levels != self._max_levels:
-                raise CheckpointError(
-                    f"snapshot holds {num_levels} retained levels but the "
-                    f"stream parameters pin {self._max_levels}"
-                )
-            self._levels = [
-                [
-                    arrays[f"level{i}/u"],
-                    arrays[f"level{i}/v"],
-                    arrays[f"level{i}/w"],
-                    arrays[f"level{i}/b"],
-                ]
-                for i in range(num_levels)
-            ]
+            self._ret_u = arrays["retained/u"]
+            self._ret_v = arrays["retained/v"]
+            self._ret_w = arrays["retained/w"]
+            self._ret_b = arrays["retained/b"]
             self._pen_u = arrays["pending/u"]
             self._pen_v = arrays["pending/v"]
             self._pen_w = arrays["pending/w"]
             self._pen_b = arrays["pending/b"]
             self._batch_sizes = [int(size) for size in arrays["batch_sizes"]]
-            self._exact = []
-            if self._track_exact:
-                if not counters.get("track_exact"):
-                    raise CheckpointError(
-                        "snapshot was written with track_exact=False; the "
-                        "exact reference cannot be restored"
-                    )
-                for j, batch in enumerate(counters["exact_batches"]):
-                    self._exact.append(
-                        (
-                            int(batch),
-                            arrays[f"exact{j}/u"],
-                            arrays[f"exact{j}/v"],
-                            arrays[f"exact{j}/w"],
-                        )
-                    )
+            self._exact = [
+                (
+                    int(batch),
+                    arrays[f"exact{j}/u"],
+                    arrays[f"exact{j}/v"],
+                    arrays[f"exact{j}/w"],
+                )
+                for j, batch in enumerate(counters["exact_batches"])
+            ]
             self._batches_ingested = int(counters["batches_ingested"])
             self._edges_ingested = int(counters["edges_ingested"])
             self._compactions = int(counters["compactions"])
             self._evicted = int(counters["evicted"])
-            self._presampled_away = int(counters["presampled_away"])
             self._ingest_seconds = float(counters.get("ingest_seconds", 0.0))
         except KeyError as exc:
             raise CheckpointError(
@@ -860,29 +748,19 @@ class StreamingSparsifier:
             raise GraphError("edge weights must be finite and positive")
         return np.minimum(u, v), np.maximum(u, v), w
 
-    def _presample(
-        self, batch: int, u: np.ndarray, v: np.ndarray, w: np.ndarray
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """k-out reduce a dense burst, Horvitz–Thompson reweighted."""
-        rng = _presample_rng(self._seed, batch)
-        kept = k_out_select(self._n, u, v, self._kout, rng)
-        probabilities = k_out_keep_probabilities(self._n, u, v, self._kout)
-        return u[kept], v[kept], w[kept] / probabilities[kept]
-
     def _evict_expired(self, batch: int) -> int:
         """Drop state/reference edges outside the sliding window."""
         if self._window is None:
             return 0
         horizon = batch - self._window  # live: batch id > horizon
         evicted = 0
-        for level in self._levels:
-            ret_mask = level[3] > horizon
-            if not ret_mask.all():
-                evicted += int(ret_mask.shape[0] - ret_mask.sum())
-                level[0] = level[0][ret_mask]
-                level[1] = level[1][ret_mask]
-                level[2] = level[2][ret_mask]
-                level[3] = level[3][ret_mask]
+        ret_mask = self._ret_b > horizon
+        if not ret_mask.all():
+            evicted += int(ret_mask.shape[0] - ret_mask.sum())
+            self._ret_u = self._ret_u[ret_mask]
+            self._ret_v = self._ret_v[ret_mask]
+            self._ret_w = self._ret_w[ret_mask]
+            self._ret_b = self._ret_b[ret_mask]
         pen_mask = self._pen_b > horizon
         if not pen_mask.all():
             evicted += int(pen_mask.shape[0] - pen_mask.sum())
@@ -890,39 +768,26 @@ class StreamingSparsifier:
             self._pen_v = self._pen_v[pen_mask]
             self._pen_w = self._pen_w[pen_mask]
             self._pen_b = self._pen_b[pen_mask]
-        if self._track_exact and self._exact:
-            self._exact = [rec for rec in self._exact if rec[0] > horizon]
+        self._exact = [rec for rec in self._exact if rec[0] > horizon]
         self._evicted += evicted
         return evicted
 
-    def _effective_weights(self, w: np.ndarray, batch_ids: np.ndarray) -> np.ndarray:
-        """Apply lazy exponential decay relative to the latest batch."""
-        if self._decay is None or w.shape[0] == 0:
-            return w
-        now = self._batches_ingested - 1
-        return w * np.power(self._decay, (now - batch_ids).astype(np.float64))
+    def _compact(self, take: int) -> None:
+        """Fold the earliest ``take`` pending edges into the retained pool.
 
-    def _sample_pass(
-        self,
-        work_u: np.ndarray,
-        work_v: np.ndarray,
-        work_w: np.ndarray,
-        work_b: np.ndarray,
-    ) -> List[np.ndarray]:
-        """One PARALLELSAMPLE pass over a working set: bundle + survivors.
-
-        Consumes the next compaction RNG index and appends a
-        :class:`CompactionRecord`; shared by the level-0 compaction and
-        level promotions so both stay deterministic and retry-neutral.
+        One PARALLELSAMPLE pass over (retained ∪ block): consumes the next
+        compaction RNG index, keeps the bundle at face weight and the
+        Bernoulli survivors at ``1/p`` times theirs, and appends a
+        :class:`CompactionRecord`.
         """
-        eff_w = self._effective_weights(work_w, work_b)
-        if self._decay is not None:
-            alive = eff_w > 0.0  # underflowed weights are numerically dead
-            if not alive.all():
-                self._evicted += int(alive.shape[0] - alive.sum())
-                work_u, work_v = work_u[alive], work_v[alive]
-                work_w, work_b = work_w[alive], work_b[alive]
-                eff_w = eff_w[alive]
+        work_u = np.concatenate([self._ret_u, self._pen_u[:take]])
+        work_v = np.concatenate([self._ret_v, self._pen_v[:take]])
+        work_w = np.concatenate([self._ret_w, self._pen_w[:take]])
+        work_b = np.concatenate([self._ret_b, self._pen_b[:take]])
+        self._pen_u = self._pen_u[take:]
+        self._pen_v = self._pen_v[take:]
+        self._pen_w = self._pen_w[take:]
+        self._pen_b = self._pen_b[take:]
 
         index = self._compactions
         shared = {
@@ -930,7 +795,7 @@ class StreamingSparsifier:
             "num_vertices": self._n,
             "u": work_u,
             "v": work_v,
-            "w": eff_w,  # selection sees decayed weights; state keeps base
+            "w": work_w,
             "t": self._t,
             "k": self._k,
             "p": self._p,
@@ -942,7 +807,6 @@ class StreamingSparsifier:
 
         bundle = result["bundle"]
         kept = result["kept"]
-        multiplier = 1.0 / self._p
         self._compactions += 1
         self.records.append(
             CompactionRecord(
@@ -957,73 +821,14 @@ class StreamingSparsifier:
                 kept_indices=kept,
             )
         )
-        return [
-            np.concatenate([work_u[bundle], work_u[kept]]),
-            np.concatenate([work_v[bundle], work_v[kept]]),
-            np.concatenate([work_w[bundle], work_w[kept] * multiplier]),
-            np.concatenate([work_b[bundle], work_b[kept]]),
-        ]
-
-    def _compact(self, take: int) -> None:
-        """Fold the earliest ``take`` pending edges into level 0.
-
-        Only level 0 participates in the routine pass — deeper levels hold
-        already-resampled older edges and are only re-sampled when an
-        overflow promotes a level into them (:meth:`_promote`), which is
-        what stops long streams from re-sampling their whole history on
-        every compaction.  With ``levels=1`` (the default) there is a
-        single level and the behaviour is the classic, parity-pinned one.
-        """
-        level0 = self._levels[0]
-        work_u = np.concatenate([level0[0], self._pen_u[:take]])
-        work_v = np.concatenate([level0[1], self._pen_v[:take]])
-        work_w = np.concatenate([level0[2], self._pen_w[:take]])
-        work_b = np.concatenate([level0[3], self._pen_b[:take]])
-        self._pen_u = self._pen_u[take:]
-        self._pen_v = self._pen_v[take:]
-        self._pen_w = self._pen_w[take:]
-        self._pen_b = self._pen_b[take:]
-        self._levels[0] = self._sample_pass(work_u, work_v, work_w, work_b)
-        self._promote()
-
-    def _promote(self) -> None:
-        """Merge overflowing levels downward, re-sampling only what moved.
-
-        Level ``i`` overflows at ``level_capacity * LEVEL_FANOUT**i``
-        edges; its contents are merged into level ``i+1`` by one sampling
-        pass (consuming the next compaction index, so the schedule stays a
-        pure function of the ingested sequence) and level ``i`` empties.
-        The deepest level is uncapped.  Ascending order lets a promotion
-        cascade in a single sweep.
-        """
-        for i in range(self._max_levels - 1):
-            capacity = self._level_capacity * (LEVEL_FANOUT**i)
-            if self._levels[i][0].shape[0] <= capacity:
-                continue
-            merged_u = np.concatenate([self._levels[i + 1][0], self._levels[i][0]])
-            merged_v = np.concatenate([self._levels[i + 1][1], self._levels[i][1]])
-            merged_w = np.concatenate([self._levels[i + 1][2], self._levels[i][2]])
-            merged_b = np.concatenate([self._levels[i + 1][3], self._levels[i][3]])
-            self._levels[i + 1] = self._sample_pass(
-                merged_u, merged_v, merged_w, merged_b
-            )
-            self._levels[i] = self._empty_level()
+        self._ret_u = np.concatenate([work_u[bundle], work_u[kept]])
+        self._ret_v = np.concatenate([work_v[bundle], work_v[kept]])
+        self._ret_w = np.concatenate([work_w[bundle], work_w[kept] * (1.0 / self._p)])
+        self._ret_b = np.concatenate([work_b[bundle], work_b[kept]])
 
     # ------------------------------------------------------------------ #
     # Snapshot / certification
     # ------------------------------------------------------------------ #
-
-    def _live_arrays(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        u = np.concatenate([level[0] for level in self._levels] + [self._pen_u])
-        v = np.concatenate([level[1] for level in self._levels] + [self._pen_v])
-        w = self._effective_weights(
-            np.concatenate([level[2] for level in self._levels] + [self._pen_w]),
-            np.concatenate([level[3] for level in self._levels] + [self._pen_b]),
-        )
-        if self._decay is not None and w.shape[0]:
-            alive = w > 0.0
-            u, v, w = u[alive], v[alive], w[alive]
-        return u, v, w
 
     def _stats(self) -> StreamStats:
         return StreamStats(
@@ -1034,7 +839,6 @@ class StreamingSparsifier:
             pending_edges=self.pending_edges,
             compactions=self._compactions,
             evicted_edges=self._evicted,
-            presampled_away=self._presampled_away,
             ingest_seconds=self._ingest_seconds,
             seed=self._seed,
             auto_seeded=self._auto_seeded,
@@ -1045,12 +849,15 @@ class StreamingSparsifier:
 
         The graph holds the retained state plus pending edges; repeated
         snapshots without intervening ``ingest`` calls are identical, and
-        in the default (unwindowed, undecayed, unpresampled) mode the
-        snapshot after a given edge sequence is bit-identical no matter
-        how the sequence was split into batches.
+        in unwindowed mode the snapshot after a given edge sequence is
+        bit-identical no matter how the sequence was split into batches.
         """
-        u, v, w = self._live_arrays()
-        graph = Graph._from_trusted(self._n, u, v, w)
+        graph = Graph._from_trusted(
+            self._n,
+            np.concatenate([self._ret_u, self._pen_u]),
+            np.concatenate([self._ret_v, self._pen_v]),
+            np.concatenate([self._ret_w, self._pen_w]),
+        )
         stats = self._stats()
         unified = UnifiedResult(
             method="streaming",
@@ -1063,26 +870,15 @@ class StreamingSparsifier:
         return StreamSnapshot(graph=graph, unified=unified, stats=stats)
 
     def reference_graph(self) -> Graph:
-        """The exact live graph (window/decay applied) — certification ground truth."""
-        if not self._track_exact:
-            raise StreamingError(
-                "this stream was built with track_exact=False, so the exact "
-                "reference graph is gone; pass your own original graph to the "
-                "certification layer instead"
-            )
+        """The exact live graph (window applied) — certification ground truth."""
         if not self._exact:
             return Graph.empty(self._n)
-        u = np.concatenate([rec[1] for rec in self._exact])
-        v = np.concatenate([rec[2] for rec in self._exact])
-        w = np.concatenate([rec[3] for rec in self._exact])
-        b = np.concatenate(
-            [np.full(rec[1].shape[0], rec[0], dtype=np.int64) for rec in self._exact]
+        return Graph._from_trusted(
+            self._n,
+            np.concatenate([rec[1] for rec in self._exact]),
+            np.concatenate([rec[2] for rec in self._exact]),
+            np.concatenate([rec[3] for rec in self._exact]),
         )
-        w = self._effective_weights(w, b)
-        if self._decay is not None and w.shape[0]:
-            alive = w > 0.0
-            u, v, w = u[alive], v[alive], w[alive]
-        return Graph._from_trusted(self._n, u, v, w)
 
     def certify(
         self,

@@ -29,7 +29,9 @@ stream) walks a ladder instead of an all-or-nothing load:
 The outcome is a :class:`RecoveryReport`: either the restored state is
 **bit-exact** with respect to every batch whose journal append completed,
 or it is flagged **lossy** with an accounting of what was lost — never
-silently wrong.
+silently wrong.  A store whose segment headers or snapshot manifests name
+another format version is refused before the ladder renames anything: it
+is intact data of another release, not damage.
 """
 
 from __future__ import annotations
@@ -45,6 +47,7 @@ from repro.core.checkpoint import DEFAULT_IO, DurableIO
 from repro.exceptions import CheckpointError
 from repro.streaming.journal import (
     DEFAULT_SEGMENT_BYTES,
+    STREAM_JOURNAL_VERSION,
     JournalScanReport,
     StreamJournal,
     _count_batch_records,
@@ -53,7 +56,12 @@ from repro.streaming.journal import (
     _validate_header,
     canonical_stream_params,
 )
-from repro.streaming.snapshot import list_snapshots, load_snapshot, write_snapshot
+from repro.streaming.snapshot import (
+    SNAPSHOT_VERSION,
+    list_snapshots,
+    load_snapshot,
+    write_snapshot,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.core.config import SparsifierConfig
@@ -124,6 +132,39 @@ def _quarantine(io: DurableIO, path: Path) -> Path:
         counter += 1
     io.replace(path, target)
     return target
+
+
+def _refuse_other_format(journal_dir: Path, snapshot_dir: Path) -> None:
+    """Refuse a store written in another on-disk format, before any rename.
+
+    A segment header or snapshot manifest that decodes and names another
+    format version is an intact store of a different release, not
+    corruption: quarantining it would report intact batches as lost, and
+    replaying it could pin parameters this release does not read.  Files
+    that do not decode are left to the recovery ladder.
+    """
+    checks = [
+        (entry, "header", STREAM_JOURNAL_VERSION)
+        for entry in _segment_files(journal_dir)
+    ] + [
+        (info.manifest_path, "stream-snapshot", SNAPSHOT_VERSION)
+        for info in list_snapshots(snapshot_dir)
+    ]
+    for path, kind, expected in checks:
+        try:
+            with open(path, "rb") as handle:
+                record = json.loads(handle.readline())
+        except (OSError, ValueError):
+            continue
+        if not isinstance(record, dict) or record.get("kind") != kind:
+            continue
+        version = record.get("version")
+        if isinstance(version, int) and version != expected:
+            raise CheckpointError(
+                f"stream store file {path} is format version {version}, but "
+                f"this release reads version {expected}; recover the store "
+                "with the release that wrote it"
+            )
 
 
 def _quarantine_unscannable(
@@ -261,7 +302,6 @@ class StreamStateStore:
         *,
         config: Optional["SparsifierConfig"] = None,
         failure_policy: Optional["FailurePolicy"] = None,
-        track_exact: bool = True,
         snapshot_every: Optional[int] = None,
         segment_bytes: int = DEFAULT_SEGMENT_BYTES,
         keep_snapshots: int = 2,
@@ -271,9 +311,10 @@ class StreamStateStore:
 
         The returned stream is re-attached to the store (journal cursor
         positioned, snapshot cadence restored), so ``ingest`` can continue
-        immediately.  Raises :class:`CheckpointError` only when there is
+        immediately.  Raises :class:`CheckpointError` when there is
         nothing to recover at all (no valid snapshot *and* no readable
-        journal parameters).
+        journal parameters), and — before touching any file — when a
+        segment header or snapshot manifest names another format version.
         """
         from repro.streaming.sparsifier import StreamingSparsifier
 
@@ -282,6 +323,7 @@ class StreamStateStore:
         journal_dir = path / _JOURNAL_DIR
         snapshot_dir = path / _SNAPSHOT_DIR
         notes: List[str] = []
+        _refuse_other_format(journal_dir, snapshot_dir)
 
         # Rung 1: newest snapshot that validates AND restores; quarantine
         # the ones that do not and fall back.
@@ -291,12 +333,8 @@ class StreamStateStore:
         for info in reversed(list_snapshots(snapshot_dir)):
             try:
                 snap_params, counters, arrays = load_snapshot(info)
-                snap_track = track_exact and bool(counters.get("track_exact"))
                 candidate = StreamingSparsifier.from_stream_params(
-                    snap_params,
-                    config=config,
-                    failure_policy=failure_policy,
-                    track_exact=snap_track,
+                    snap_params, config=config, failure_policy=failure_policy
                 )
                 candidate._restore_state(counters, arrays)
             except CheckpointError as exc:
@@ -307,11 +345,6 @@ class StreamStateStore:
                 if info.state_path.exists():
                     _quarantine(io, info.state_path)
                 continue
-            if track_exact and not snap_track:
-                notes.append(
-                    "snapshot was written with track_exact=False; the exact "
-                    "reference is unavailable in the recovered stream"
-                )
             stream = candidate
             snapshot_used = info.sequence
             break
@@ -331,10 +364,7 @@ class StreamStateStore:
                     "snapshot and no readable journal"
                 )
             stream = StreamingSparsifier.from_stream_params(
-                journal_params,
-                config=config,
-                failure_policy=failure_policy,
-                track_exact=track_exact,
+                journal_params, config=config, failure_policy=failure_policy
             )
         elif journal_params is not None and journal_params != canonical_stream_params(
             stream._journal_params()

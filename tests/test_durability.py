@@ -26,9 +26,9 @@ The contract under test (``repro/streaming/store.py``,
 * **Bounded resume** — after a snapshot, recovery replays only the
   post-snapshot journal suffix, proven through the scan's read
   accounting, not timing.
-* **Leveled retained state** — multi-level compaction is deterministic,
-  bounds the per-level sizes it promises, and round-trips through
-  snapshot/recover bit-exactly.
+* **Format versions** — a store written in another on-disk format is
+  refused with a :class:`CheckpointError` naming both versions, and no
+  file is renamed or rewritten.
 
 Run with ``-m durability`` to select only this file.
 """
@@ -43,7 +43,8 @@ from repro.core.checkpoint import BatchJournal
 from repro.exceptions import CheckpointError
 from repro.graphs import generators as gen
 from repro.streaming import (
-    LEVEL_FANOUT,
+    SNAPSHOT_VERSION,
+    STREAM_JOURNAL_VERSION,
     StreamingSparsifier,
     StreamJournal,
     StreamStateStore,
@@ -447,72 +448,43 @@ class TestSnapshotBoundedResume:
 
 
 # --------------------------------------------------------------------- #
-# Leveled retained state
+# Format versions: a store of another release is refused, never renamed
 # --------------------------------------------------------------------- #
 
 
-class TestLeveledState:
-    def test_leveled_compaction_is_deterministic_and_bounded(self, torture_graph):
-        capacity = 40
-        runs = []
-        for _ in range(2):
-            stream = StreamingSparsifier(
-                torture_graph.num_vertices,
-                seed=SEED,
-                compaction_interval=25,
-                levels=3,
-                level_capacity=capacity,
-            )
-            edges = np.column_stack([torture_graph.edge_u, torture_graph.edge_v])
-            for lo in range(0, torture_graph.num_edges, 40):
-                stream.ingest(
-                    edges[lo : lo + 40], torture_graph.edge_weights[lo : lo + 40]
-                )
-            runs.append(stream)
-        assert_same_state(state_fingerprint(runs[0]), state_fingerprint(runs[1]))
-        sizes = runs[0].level_sizes
-        assert len(sizes) == 3
-        # Every level but the deepest honors its geometric capacity.
-        for depth, size in enumerate(sizes[:-1]):
-            assert size <= capacity * LEVEL_FANOUT**depth
+def store_files(store):
+    return {
+        str(path.relative_to(store)): path.read_bytes()
+        for path in sorted(store.rglob("*"))
+        if path.is_file()
+    }
 
-    def test_single_level_matches_the_classic_pool(self, torture_graph):
-        kwargs = dict(seed=SEED, compaction_interval=25)
-        edges = np.column_stack([torture_graph.edge_u, torture_graph.edge_v])
 
-        def run(**extra):
-            stream = StreamingSparsifier(
-                torture_graph.num_vertices, **kwargs, **extra
-            )
-            for lo in range(0, torture_graph.num_edges, 40):
-                stream.ingest(
-                    edges[lo : lo + 40], torture_graph.edge_weights[lo : lo + 40]
-                )
-            return stream
-
-        classic, single = run(), run(levels=1)
-        snap_a, snap_b = classic.snapshot(), single.snapshot()
-        assert np.array_equal(snap_a.graph.edge_u, snap_b.graph.edge_u)
-        assert np.array_equal(snap_a.graph.edge_v, snap_b.graph.edge_v)
-        assert np.array_equal(snap_a.graph.edge_weights, snap_b.graph.edge_weights)
-
-    def test_leveled_state_round_trips_through_recovery(
-        self, torture_graph, torture_batches, tmp_path
+class TestFormatVersion:
+    @pytest.mark.parametrize(
+        "pattern, current, previous",
+        [
+            ("journal/segment-*.jsonl", STREAM_JOURNAL_VERSION, 2),
+            ("snapshots/snap-*.json", SNAPSHOT_VERSION, 1),
+        ],
+    )
+    def test_previous_format_is_refused_before_any_rename(
+        self, torture_graph, torture_batches, tmp_path, pattern, current, previous
     ):
         store = tmp_path / "store"
-        original = run_store_stream(
-            store, torture_graph, torture_batches, levels=3, level_capacity=30
-        )
-        stream, report = StreamStateStore.recover(store)
-        assert report.bit_exact
-        assert stream.level_sizes == original.level_sizes
-        assert_same_state(state_fingerprint(stream), state_fingerprint(original))
-        # The recovered stream keeps leveling: one more batch lands
-        # identically on both sides.
-        extra_edges, extra_weights = torture_batches[0]
-        original.ingest(extra_edges, extra_weights)
-        stream.ingest(extra_edges, extra_weights)
-        assert_same_state(state_fingerprint(stream), state_fingerprint(original))
+        run_store_stream(store, torture_graph, torture_batches)
+        stamp, old_stamp = (f'"version": {v}'.encode() for v in (current, previous))
+        files = list(store.glob(pattern))
+        assert files
+        for path in files:  # the header / manifest line carries the version
+            head, newline, rest = path.read_bytes().partition(b"\n")
+            assert stamp in head
+            path.write_bytes(head.replace(stamp, old_stamp) + newline + rest)
+        before = store_files(store)
+        with pytest.raises(CheckpointError, match=rf"version {previous}\b.*version {current}"):
+            StreamStateStore.recover(store)
+        assert store_files(store) == before
+        assert not list(store.rglob("*.quarantined*"))
 
 
 # --------------------------------------------------------------------- #

@@ -1,11 +1,15 @@
 """Tests for repro.graphs.generators."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from repro.exceptions import GraphError
 from repro.graphs import generators as gen
 from repro.graphs.connectivity import is_connected
+from repro.graphs.graph import Graph
+from repro.utils.rng import as_rng
 
 
 class TestDeterministicGenerators:
@@ -183,6 +187,64 @@ class TestRandomGenerators:
     def test_random_spanning_tree_plus_caps_extra_edges(self):
         g = gen.random_spanning_tree_plus(5, 100, seed=1)
         assert g.num_edges <= 10
+
+
+def triu_erdos_renyi(n, p, seed, ensure_connected, weight_range):
+    """The all-pairs construction the blocked generator must reproduce."""
+    rng = as_rng(seed)
+    iu, iv = np.triu_indices(n, k=1)
+    mask = rng.random(iu.shape[0]) < p
+    u, v = iu[mask].astype(np.int64), iv[mask].astype(np.int64)
+    if ensure_connected and n > 1:
+        perm = rng.permutation(n).astype(np.int64)
+        u = np.concatenate([u, np.minimum(perm[:-1], perm[1:])])
+        v = np.concatenate([v, np.maximum(perm[:-1], perm[1:])])
+    if u.size:
+        _, unique_idx = np.unique(u * np.int64(n) + v, return_index=True)
+        u, v = u[unique_idx], v[unique_idx]
+    graph = Graph(n, u, v, np.ones(u.shape[0]))
+    if weight_range is not None:
+        graph = graph.with_weights(rng.uniform(*weight_range, size=graph.num_edges))
+    return graph
+
+
+class TestErdosRenyiBlocked:
+    @pytest.mark.parametrize(
+        "n, p, seed, ensure_connected, weight_range",
+        [
+            (1, 0.5, 1, False, None),
+            (2, 1.0, 2, True, None),
+            (3, 0.5, 0, True, (0.5, 2.0)),
+            (40, 0.0, 1, True, None),
+            (40, 1.0, 3, False, None),
+            (150, 0.3, 9, False, (0.5, 2.0)),
+            (1500, 0.01, 4, True, None),  # 1.1M pairs: more than one block
+            (1700, 0.002, 5, False, (1.0, 3.0)),
+        ],
+    )
+    def test_matches_the_all_pairs_construction(
+        self, n, p, seed, ensure_connected, weight_range
+    ):
+        blocked = gen.erdos_renyi_graph(
+            n, p, seed=seed, ensure_connected=ensure_connected, weight_range=weight_range
+        )
+        reference = triu_erdos_renyi(n, p, seed, ensure_connected, weight_range)
+        assert blocked.num_vertices == reference.num_vertices
+        assert np.array_equal(blocked.edge_u, reference.edge_u)
+        assert np.array_equal(blocked.edge_v, reference.edge_v)
+        assert np.array_equal(blocked.edge_weights, reference.edge_weights)
+
+    def test_peak_memory_is_not_quadratic(self):
+        # n=5000 has 12.5M pairs: the all-pairs construction peaks above
+        # 300 MB here, the blocked one near 10 MB.
+        tracemalloc.start()
+        try:
+            graph = gen.erdos_renyi_graph(5000, 0.001, seed=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert graph.num_edges > 10_000
+        assert peak < 40 * 2**20
 
 
 class TestImageAffinity:

@@ -36,7 +36,7 @@ from repro.graphs import generators as gen
 from repro.parallel.failure import FailurePolicy
 from repro.streaming import StreamingSparsifier, StreamJournal, compaction_rng
 from repro.streaming import sparsifier as sparsifier_module
-from repro.testing.faults import FaultPlan
+from repro.testing.faults import FaultPlan, flip_bit
 from repro.utils.rng import as_rng
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
@@ -101,12 +101,10 @@ class TestIngestValidation:
     def test_misconfiguration_rejected(self):
         with pytest.raises(StreamingError, match="window"):
             StreamingSparsifier(5, window=0)
-        with pytest.raises(StreamingError, match="decay"):
-            StreamingSparsifier(5, decay=1.5)
         with pytest.raises(StreamingError, match="compaction_interval"):
             StreamingSparsifier(5, compaction_interval=0)
         with pytest.raises(StreamingError, match="sampling probability"):
-            StreamingSparsifier(5, sampling_probability=1.0)
+            StreamingSparsifier(5, config=SparsifierConfig(sampling_probability=1.0))
         with pytest.raises(StreamingError, match="cannot skip"):
             StreamingSparsifier(
                 5, failure_policy=FailurePolicy(on_error="collect", max_attempts=2)
@@ -300,9 +298,31 @@ class TestJournalResume:
         active.write_text("\n".join(lines) + "\n")
         with pytest.raises(CheckpointError, match="corrupt"):
             list(StreamJournal.iter_batches(store / "journal"))
-        _, report = StreamingSparsifier.recover(store)
+        recovered, report = StreamingSparsifier.recover(store)
         assert not report.bit_exact
         assert any("corrupt" in note for note in report.notes)
+        # The bad line is batch 0, so every journaled batch is lost: the
+        # ones behind the bad line count too, not only those parsed before it.
+        num_batches = len(lines) - 1
+        assert num_batches == 5
+        assert report.batches_lost == num_batches
+        assert recovered.batches_ingested == 0
+
+    def test_interior_line_loss_counts_the_lines_behind_it(self, stream_graph, tmp_path):
+        store = tmp_path / "store"
+        run_stream(
+            stream_graph, batch_size=700, seed=9, compaction_interval=500,
+            store=store,
+        )
+        active = sorted((store / "journal").glob("segment-*.jsonl"))[-1]
+        data = active.read_bytes()
+        # Flip one bit of batch 2's opening brace ('{' -> 'k'): undecodable.
+        line_starts = [0] + [i + 1 for i, byte in enumerate(data) if byte == ord("\n")]
+        flip_bit(active, line_starts[3], bit=4)
+        recovered, report = StreamingSparsifier.recover(store)
+        assert not report.bit_exact
+        assert report.batches_replayed == 2 and recovered.batches_ingested == 2
+        assert report.batches_lost == 3  # batch 2 and the two lines behind it
 
     def test_digest_mismatch_refused(self, tmp_path):
         store = tmp_path / "store"
@@ -360,64 +380,6 @@ class TestWindowAndDecay:
         assert stream.live_input_edges == 300
         snap = stream.snapshot()
         assert snap.num_edges <= 300
-
-    def test_decay_scales_weights_lazily(self):
-        stream = StreamingSparsifier(20, seed=0, decay=0.5, compaction_interval=10**6)
-        first = np.array([[0, 1], [1, 2]])
-        second = np.array([[2, 3]])
-        stream.ingest(first, np.array([2.0, 4.0]))
-        stream.ingest(second, np.array([8.0]))
-        snap = stream.snapshot()
-        assert np.allclose(snap.graph.edge_weights, [1.0, 2.0, 8.0])
-        assert np.allclose(stream.reference_graph().edge_weights, [1.0, 2.0, 8.0])
-
-    def test_decay_underflow_drops_dead_edges(self):
-        stream = StreamingSparsifier(10, seed=0, decay=1e-300, compaction_interval=10**6)
-        stream.ingest(np.array([[0, 1]]), np.array([1.0]))
-        for _ in range(3):
-            stream.ingest(np.empty((0, 2), dtype=np.int64))
-        snap = stream.snapshot()  # 1e-900 underflows to 0: edge is dead
-        assert snap.num_edges == 0
-        assert snap.graph.num_vertices == 10
-
-
-class TestKOutPresampling:
-    def test_dense_burst_is_reduced(self):
-        graph = gen.erdos_renyi_graph(60, 0.6, seed=4, weight_range=(0.5, 2.0))
-        stream = StreamingSparsifier(
-            graph.num_vertices, seed=3, kout_presample=3, compaction_interval=10**6
-        )
-        record = stream.ingest(
-            np.column_stack([graph.edge_u, graph.edge_v]), graph.edge_weights
-        )
-        assert record.edges == graph.num_edges
-        assert record.edges_after_presample < record.edges
-        snap = stream.snapshot()
-        assert snap.num_edges == record.edges_after_presample
-        # HT reweighting: kept weights are boosted above their originals.
-        assert snap.graph.total_weight == pytest.approx(
-            graph.total_weight, rel=0.35
-        )
-
-    def test_small_batches_pass_through_untouched(self):
-        stream = StreamingSparsifier(100, seed=3, kout_presample=3, compaction_interval=10**6)
-        record = stream.ingest(np.array([[0, 1], [1, 2]]))
-        assert record.edges_after_presample == record.edges == 2
-
-    def test_presample_is_deterministic_and_journal_replayable(self, tmp_path):
-        graph = gen.erdos_renyi_graph(60, 0.6, seed=4)
-        store = tmp_path / "store"
-        stream = StreamingSparsifier(
-            graph.num_vertices, seed=3, kout_presample=2, compaction_interval=800,
-            store=store,
-        )
-        stream.ingest(np.column_stack([graph.edge_u, graph.edge_v]), graph.edge_weights)
-        resumed, report = StreamingSparsifier.recover(store)
-        assert report.bit_exact
-        assert np.array_equal(
-            stream.snapshot().graph.edge_weights,
-            resumed.snapshot().graph.edge_weights,
-        )
 
 
 class TestResilience:
